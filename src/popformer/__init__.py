@@ -20,7 +20,6 @@ from .core import (
 from .dataset import TrajectoryDataset, TrajectoryPair, TrajectorySink
 from .metrics import IgdResult, RankSumResult, igd, wilcoxon_rank_sum
 from .model import (
-    GenerationResult,
     ModelConfig,
     PopulationTransformer,
     load_checkpoint,
@@ -51,11 +50,11 @@ from .pipeline import (
 from .problems import LsmopProblem, ShiftClusterProblem, ZdtProblem, make_problem
 
 __all__ = [
-    "EvaluationBudget", "FinetuneConfig", "FrontPartition", "GenerationResult",
-    "IgdResult", "LsmopProblem", "ModelConfig", "Population", "PopulationTransformer",
-    "PretrainConfig", "Problem", "ProblemSpec", "RankSumResult", "ShiftClusterProblem",
-    "Solution", "TrajectoryDataset", "TrajectoryPair", "TrajectorySink",
-    "VariationConfig", "ZdtProblem", "collect_trajectories", "constrained_dominates",
+    "EvaluationBudget", "FinetuneConfig", "FrontPartition", "IgdResult", "LsmopProblem",
+    "ModelConfig", "Population", "PopulationTransformer", "PretrainConfig", "Problem",
+    "ProblemSpec", "RankSumResult", "ShiftClusterProblem", "Solution", "TrajectoryDataset",
+    "TrajectoryPair", "TrajectorySink", "VariationConfig", "ZdtProblem",
+    "collect_trajectories", "constrained_dominates",
     "crowding_distance", "cso_step", "denormalize_decision", "dominates", "evaluate",
     "fast_nondominated_sort", "finetune_step", "igd", "load_checkpoint", "make_problem",
     "normalize_decision", "nsga2_select", "polynomial_mutation", "pretrain",

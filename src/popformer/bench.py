@@ -15,12 +15,31 @@ import numpy as np
 
 from .errors import ConfigError, IgdUndefined
 from .metrics import igd, wilcoxon_rank_sum
-from .model import load_checkpoint
+from .model import ModelConfig, PopulationTransformer, load_checkpoint
 from .moea import run_cso, run_nsga2, run_random_search
 from .pipeline import FinetuneConfig, run_nsga2_model
 from .problems import make_problem
 
-ARM_KINDS = ("nsga2", "cso", "random", "learned")
+
+def _run_learned(arm, problem, n_pop, evals, seed):
+    if arm.model:
+        model = load_checkpoint(arm.model)
+    else:
+        model = PopulationTransformer(ModelConfig(), seed=seed)
+    fine = FinetuneConfig(steps_per_generation=arm.steps_per_generation,
+                          lr=arm.lr, enabled=arm.finetune)
+    return run_nsga2_model(problem, model, n_pop, evals, fine_cfg=fine, seed=seed)
+
+
+# Arm kind -> runner(arm, problem, n_pop, evals, seed). Each entry looks its
+# runner up by name when called, so a wrapped module-level runner is the one run.
+ARM_RUNNERS = {
+    "nsga2": lambda arm, p, n, e, seed: run_nsga2(p, n, e, seed=seed),
+    "cso": lambda arm, p, n, e, seed: run_cso(p, n, e, seed=seed),
+    "random": lambda arm, p, n, e, seed: run_random_search(p, n, e, seed=seed),
+    "learned": lambda arm, p, n, e, seed: _run_learned(arm, p, n, e, seed),
+}
+ARM_KINDS = tuple(ARM_RUNNERS)
 
 
 @dataclass(frozen=True)
@@ -125,22 +144,7 @@ def _run_cell(payload: dict) -> dict:
     try:
         problem = make_problem(case.name, d=case.d, m=case.m)
         front = problem.reference_front(front_size or default_front_size(case.m))
-        if arm.kind == "nsga2":
-            result = run_nsga2(problem, n_pop, evals, seed=seed)
-        elif arm.kind == "cso":
-            result = run_cso(problem, n_pop, evals, seed=seed)
-        elif arm.kind == "random":
-            result = run_random_search(problem, n_pop, evals, seed=seed)
-        else:
-            from .model import ModelConfig, PopulationTransformer
-
-            if arm.model:
-                model = load_checkpoint(arm.model)
-            else:
-                model = PopulationTransformer(ModelConfig(), seed=seed)
-            fine = FinetuneConfig(steps_per_generation=arm.steps_per_generation,
-                                  lr=arm.lr, enabled=arm.finetune)
-            result = run_nsga2_model(problem, model, n_pop, evals, fine_cfg=fine, seed=seed)
+        result = ARM_RUNNERS[arm.kind](arm, problem, n_pop, evals, seed)
         feasible = result.population.evaluated_members()
         objs = np.array([s.f for s in feasible.members if s.cv == 0.0])
         record["igd"] = igd(front, objs).value

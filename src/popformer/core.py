@@ -180,10 +180,6 @@ def denormalize_decision(u: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     return spec.lower + np.asarray(u, dtype=float) * (spec.upper - spec.lower)
 
 
-def clamp_to_bounds(x: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    return np.clip(np.asarray(x, dtype=float), spec.lower, spec.upper)
-
-
 def aggregate_violation(inequalities: np.ndarray, equalities: np.ndarray | None = None,
                         eq_tolerance: float = 1e-4) -> float:
     """Collapse constraint values into one non-negative violation.

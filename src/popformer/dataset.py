@@ -167,15 +167,20 @@ class TrajectoryDataset:
     @classmethod
     def load(cls, path) -> "TrajectoryDataset":
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+            lines = [(no, ln) for no, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()]
         if not lines:
             raise DataError(f"{path}: empty dataset file")
-        manifest = json.loads(lines[0])
+        manifest = json.loads(lines[0][1])
         if manifest.get("format") != DATASET_FORMAT:
             raise DataError(f"{path}: not a trajectory dataset (format={manifest.get('format')!r})")
         if manifest.get("version") != DATASET_VERSION:
             raise DataError(f"{path}: unsupported dataset version {manifest.get('version')!r}")
-        pairs = [_pair_from_record(json.loads(ln)) for ln in lines[1:]]
+        pairs = []
+        for no, ln in lines[1:]:
+            try:
+                pairs.append(_pair_from_record(json.loads(ln)))
+            except ValueError as exc:  # includes ContractViolation and bad JSON
+                raise DataError(f"{path}: line {no}: {exc}") from exc
         if manifest.get("pair_count") != len(pairs):
             raise DataError(
                 f"{path}: manifest declares {manifest.get('pair_count')} pairs, found {len(pairs)}"

@@ -135,12 +135,6 @@ class DecoderBlock:
 
 
 @dataclass
-class GenerationResult:
-    population: Population
-    exhausted: bool
-
-
-@dataclass
 class EncodedParents:
     """Per-layer encoder outputs plus the parent generation's objective frame.
 
@@ -229,12 +223,6 @@ class PopulationTransformer:
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.grad = None
-
-    def copy(self) -> "PopulationTransformer":
-        clone = PopulationTransformer(self.config, seed=0)
-        for (_, src), (_, dst) in zip(self.named_parameters(), clone.named_parameters()):
-            dst.data = src.data.copy()
-        return clone
 
     # -- embedding ----------------------------------------------------------
 
@@ -355,13 +343,13 @@ class PopulationTransformer:
         return denormalize_decision(unit, spec)
 
     def generate(self, parents: Population, problem: Problem, budget: EvaluationBudget,
-                 rng: np.random.Generator, n_offspring: int | None = None) -> GenerationResult:
-        """Autoregressively produce an offspring population.
+                 rng: np.random.Generator, n_offspring: int | None = None) -> Population:
+        """Autoregressively produce an evaluated offspring population.
 
         The context is seeded with one uniform-random evaluated solution that
         both consumes budget and counts as the first offspring; decoding then
         alternates propose / evaluate / append until the target size or the
-        budget runs out (the result flags exhaustion and may be short).
+        budget runs out, so a short population means the budget ran out.
         """
         if not parents.all_evaluated:
             raise DataError("generation requires evaluated parents")
@@ -377,20 +365,15 @@ class PopulationTransformer:
                 population=Population((), parents.generation_index + 1),
             ) from exc
         members = list(seeded.members)
-        exhausted = False
         while len(members) < n_target:
             context = Population(tuple(members), parents.generation_index + 1)
             x_next = self.decode_step(context, encoded, spec)
             try:
                 child = evaluate(Population((Solution(x=x_next),)), problem, budget)
             except BudgetExhausted:
-                exhausted = True
                 break
             members.append(child.members[0])
-        return GenerationResult(
-            population=Population(tuple(members), parents.generation_index + 1),
-            exhausted=exhausted,
-        )
+        return Population(tuple(members), parents.generation_index + 1)
 
     # -- training -----------------------------------------------------------
 
@@ -485,6 +468,8 @@ def load_checkpoint(path, expect_config: ModelConfig | None = None) -> Populatio
         count = int(np.prod(shape)) if shape else 1
         raw = take(8 * count, f"{name} data")
         p.data = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+        if not np.isfinite(p.data).all():
+            raise CheckpointError(f"{path}: parameter {name} has non-finite values")
     if offset != len(view):
         raise CheckpointError(f"{path}: {len(view) - offset} trailing bytes after parameters")
     return model

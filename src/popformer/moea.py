@@ -1,8 +1,8 @@
 """Classical evolutionary machinery: non-dominated sorting, crowding-distance
 selection, SBX/polynomial-mutation variation, a competitive-swarm operator,
-and the generational run loops that drive them.
+and the one generational run loop that drives them and the learned arm.
 
-Run loops consume the budget exactly: the trailing offspring batch may be
+The run loop consumes the budget exactly: the trailing offspring batch may be
 partial, and every recorded generation is a post-selection parent population.
 """
 from __future__ import annotations
@@ -287,23 +287,29 @@ class RunResult:
 
 
 def _evaluate_available(pop: Population, problem: Problem,
-                        budget: EvaluationBudget) -> tuple[Population, bool]:
+                        budget: EvaluationBudget) -> Population:
+    """Evaluate what the budget allows of ``pop``; keep its evaluated members."""
     try:
-        return evaluate(pop, problem, budget), False
+        return evaluate(pop, problem, budget)
     except BudgetExhausted as exc:
         partial = exc.population if exc.population is not None else pop
-        return partial.evaluated_members(), True
+        return partial.evaluated_members()
 
 
 def run_generational(problem: Problem, n_pop: int, evals: int, make_offspring,
                      seed: int = 0, sink: TrajectorySink | None = None,
-                     teacher_name: str = "custom") -> RunResult:
-    """Generic select-vary-evaluate loop with exact budget accounting.
+                     teacher_name: str = "custom", after_generation=None) -> RunResult:
+    """The select-vary-evaluate loop every run goes through, with exact budget
+    accounting.
 
-    ``make_offspring(parents, rng) -> Population`` may return a mix of already
-    evaluated and unevaluated members; only the latter consume budget. Each
-    loop iteration records its post-selection parents; consecutive recorded
-    parents become trajectory pairs on the sink.
+    ``make_offspring(parents, rng, budget) -> Population`` may evaluate members
+    itself within the budget and may return a mix of evaluated and unevaluated
+    members; the loop evaluates what is left, budget permitting. A generation
+    that consumes no evaluations is a contract violation, since the budget
+    would never drain. ``after_generation(parents, offspring) -> dict``, when
+    given, runs after each merge and its entries join that generation's log
+    entry. Each loop iteration records its post-selection parents;
+    consecutive recorded parents become trajectory pairs on the sink.
     """
     if n_pop < 2:
         raise ContractViolation("population size must be at least 2")
@@ -324,19 +330,22 @@ def run_generational(problem: Problem, n_pop: int, evals: int, make_offspring,
                 teacher=teacher_name, seed=seed, generation=generation - 1,
             ))
         prev_parents = parents
-        offspring = make_offspring(parents, rng)
-        if all(s.evaluated for s in offspring):
+        used_before = budget.used
+        offspring = _evaluate_available(make_offspring(parents, rng, budget), problem, budget)
+        if budget.used == used_before:
             raise ContractViolation(
-                "offspring generator returned no unevaluated members; the budget would never drain"
+                "generation consumed no evaluations; the budget would never drain"
             )
-        evaluated, exhausted = _evaluate_available(offspring, problem, budget)
-        pool = Population(parents.members + evaluated.members, generation)
-        log.append({
+        pool = Population(parents.members + offspring.members, generation)
+        entry = {
             "generation": generation,
             "evaluations": budget.used,
-            "offspring_evaluated": len(evaluated),
-            "partial": exhausted,
-        })
+            "offspring_evaluated": budget.used - used_before,
+            "partial": len(offspring) < n_pop,
+        }
+        if after_generation is not None:
+            entry.update(after_generation(parents, offspring))
+        log.append(entry)
         generation += 1
     final = nsga2_select(pool, n_pop)
     return RunResult(population=final, log=log, evaluations=budget.used)
@@ -349,7 +358,7 @@ def run_nsga2(problem: Problem, n_pop: int, evals: int,
     cfg = cfg or VariationConfig()
     return run_generational(
         problem, n_pop, evals,
-        lambda parents, rng: sbx_pm_offspring(parents, cfg, rng, problem),
+        lambda parents, rng, budget: sbx_pm_offspring(parents, cfg, rng, problem),
         seed=seed, sink=sink, teacher_name="nsga2",
     )
 
@@ -359,7 +368,7 @@ def run_cso(problem: Problem, n_pop: int, evals: int, seed: int = 0,
     """Competitive-swarm teacher inside the same selection loop."""
     return run_generational(
         problem, n_pop, evals,
-        lambda parents, rng: cso_step(parents, rng, problem),
+        lambda parents, rng, budget: cso_step(parents, rng, problem),
         seed=seed, sink=sink, teacher_name="cso",
     )
 
@@ -368,7 +377,7 @@ def run_random_search(problem: Problem, n_pop: int, evals: int, seed: int = 0) -
     """Uniform random offspring under NSGA-II selection; the sanity baseline."""
     return run_generational(
         problem, n_pop, evals,
-        lambda parents, rng: random_offspring(parents, rng, problem),
+        lambda parents, rng, budget: random_offspring(parents, rng, problem),
         seed=seed, teacher_name="random",
     )
 

@@ -15,7 +15,7 @@ from .layers import (
     norm_params,
     uniform_linear,
 )
-from .optim import Adam, adam_step
+from .optim import Adam
 from .tensor import (
     Tape,
     Tensor,
@@ -25,7 +25,6 @@ from .tensor import (
     matmul,
     mean_all,
     mul,
-    param,
     permute,
     relu,
     reshape,
@@ -37,8 +36,8 @@ from .tensor import (
 
 __all__ = [
     "Adam", "AttentionParams", "LinearParams", "MlpParams", "NormParams", "Tape", "Tensor",
-    "adam_step", "add", "attention_params", "causal_mask", "const", "gradient_check",
-    "layer_norm", "linear", "logistic", "matmul", "mean_all", "mlp_block", "mlp_params",
-    "mul", "multi_head_attention", "norm_params", "param", "permute", "relu", "reshape",
-    "scale", "softmax", "sub", "sum_all", "uniform_linear",
+    "add", "attention_params", "causal_mask", "const", "gradient_check", "layer_norm",
+    "linear", "logistic", "matmul", "mean_all", "mlp_block", "mlp_params", "mul",
+    "multi_head_attention", "norm_params", "permute", "relu", "reshape", "scale",
+    "softmax", "sub", "sum_all", "uniform_linear",
 ]

@@ -1,8 +1,6 @@
 """Adam with decoupled weight decay."""
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .tensor import Tensor
@@ -45,7 +43,3 @@ class Adam:
             v += (1.0 - self.beta2) * (g * g)
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
-
-def adam_step(optimizer: Adam) -> None:
-    """Apply one optimizer step using the gradients currently on the parameters."""
-    optimizer.step()

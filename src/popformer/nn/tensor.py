@@ -63,10 +63,6 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def param(data, rng: np.random.Generator | None = None) -> Tensor:
-    return Tensor(data, requires_grad=True)
-
-
 def const(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 

@@ -1,6 +1,6 @@
-"""Offline training on recorded trajectories and the online NSGA-II loop that
-uses the model as its offspring generator, updating it from fresh evaluations
-each generation."""
+"""Offline training on recorded trajectories, and the learned arm: the one
+generational run loop with the model as its offspring generator and an
+online update from fresh evaluations after each generation."""
 from __future__ import annotations
 
 import logging
@@ -8,18 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    EvaluationBudget,
-    Population,
-    Problem,
-    evaluate,
-    random_population,
-)
+from .core import Population, Problem
 from .dataset import TrajectoryDataset, TrajectoryPair, TrajectorySink
-from .errors import BudgetExhausted, CapacityError, ConfigError, ContractViolation, DataError
+from .errors import CapacityError, ConfigError, ContractViolation, DataError
 from .metrics import igd
 from .model import PopulationTransformer, teacher_forced_loss
-from .moea import TEACHERS, nsga2_select
+from .moea import TEACHERS, RunResult, nsga2_select, run_generational
 from .nn import Adam
 
 log = logging.getLogger(__name__)
@@ -152,9 +146,9 @@ def pretrain(dataset: TrajectoryDataset, model: PopulationTransformer,
         model.optimizer.lr = cfg.lr_at(step)
         model.optimizer.step()
         mean_loss = total * inv
+        if not np.isfinite(mean_loss):
+            raise DataError(f"non-finite training loss at step {step}")
         if step % cfg.eval_every == 0 or step == cfg.steps or step == 1:
-            if not np.isfinite(mean_loss):
-                raise DataError(f"non-finite training loss at step {step}")
             curve.append((step, mean_loss))
     return curve
 
@@ -197,52 +191,30 @@ def finetune_step(model: PopulationTransformer, x_g: Population, x_g1: Populatio
     return loss
 
 
-@dataclass
-class ModelRunResult:
-    population: Population
-    log: list[dict]
-    evaluations: int
-
-
 def run_nsga2_model(problem: Problem, model: PopulationTransformer, n_pop: int,
                     evals: int, fine_cfg: FinetuneConfig = FinetuneConfig(),
-                    seed: int = 0, reference_front: np.ndarray | None = None) -> ModelRunResult:
+                    seed: int = 0, reference_front: np.ndarray | None = None) -> RunResult:
     """NSGA-II where the model produces each offspring generation.
 
-    Initialize and evaluate N solutions, then while budget remains: sort,
-    crowding-select, generate offspring through the model (each evaluated as
-    produced), run the online update, merge. A trailing partial generation is
-    merged and logged before the loop ends.
+    The run loop is :func:`moea.run_generational`; the model writes each
+    offspring generation (every member evaluated as produced), and after the
+    merge the online update runs. Its loss, and the IGD of the selected
+    population when ``reference_front`` is given, join the log entry.
     """
-    if n_pop < 2:
-        raise ContractViolation("population size must be at least 2")
-    if evals < n_pop:
-        raise ContractViolation("budget must cover at least the initial population")
     if n_pop > model.config.max_seq:
         raise CapacityError(f"population size {n_pop} exceeds model capacity "
                             f"{model.config.max_seq}")
-    budget = EvaluationBudget(evals)
-    rng = np.random.default_rng(seed)
-    pool = evaluate(random_population(problem, n_pop, rng), problem, budget)
-    run_log: list[dict] = []
-    generation = 0
-    while budget.remaining > 0:
-        parents = nsga2_select(pool, n_pop)
-        parents = Population(parents.members, generation)
-        result = model.generate(parents, problem, budget, rng, n_offspring=n_pop)
-        loss = finetune_step(model, parents, result.population, problem, fine_cfg)
-        pool = Population(parents.members + result.population.members, generation)
-        entry = {
-            "generation": generation,
-            "evaluations": budget.used,
-            "offspring_evaluated": len(result.population),
-            "partial": result.exhausted,
-            "loss": loss,
-        }
+
+    def after_generation(parents: Population, offspring: Population) -> dict:
+        entry = {"loss": finetune_step(model, parents, offspring, problem, fine_cfg)}
         if reference_front is not None:
-            current = nsga2_select(pool, n_pop)
+            current = nsga2_select(Population(parents.members + offspring.members), n_pop)
             entry["igd"] = igd(reference_front, current.objectives()).value
-        run_log.append(entry)
-        generation += 1
-    final = nsga2_select(pool, n_pop)
-    return ModelRunResult(population=final, log=run_log, evaluations=budget.used)
+        return entry
+
+    return run_generational(
+        problem, n_pop, evals,
+        lambda parents, rng, budget: model.generate(parents, problem, budget, rng,
+                                                    n_offspring=n_pop),
+        seed=seed, after_generation=after_generation,
+    )

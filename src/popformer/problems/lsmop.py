@@ -14,6 +14,7 @@ import numpy as np
 
 from ..core import Problem, ProblemSpec
 from ..errors import ConfigError
+from .zdt import _spread_over_intervals
 
 N_SUBCOMPONENTS = 5
 CHAOS_COEFF = 3.8
@@ -184,12 +185,10 @@ class LsmopProblem(Problem):
         m = self.spec.m
         intervals = LSMOP9_FRONT_INTERVALS
         if m == 2:
-            from .zdt import _spread_over_intervals
-
             xs = _spread_over_intervals(intervals, n)[:, None]
         else:
             per_axis = max(2, math.ceil(n ** (1.0 / (m - 1))))
-            axis = _interval_grid(intervals, per_axis)
+            axis = _spread_over_intervals(intervals, per_axis)
             grids = np.meshgrid(*([axis] * (m - 1)), indexing="ij")
             xs = np.column_stack([gg.ravel() for gg in grids])
             take = np.linspace(0, len(xs) - 1, n).round().astype(int)
@@ -197,21 +196,3 @@ class LsmopProblem(Problem):
         last = 2.0 * (m - np.sum(xs / 2.0 * (1.0 + np.sin(3.0 * np.pi * xs)), axis=1))
         return np.column_stack([xs, last])
 
-
-def _interval_grid(intervals, k: int) -> np.ndarray:
-    # same boundary-tie avoidance as the front interval sampler
-    intervals = [
-        (a if i == 0 else a + 1e-6 * (b - a), b) for i, (a, b) in enumerate(intervals)
-    ]
-    lengths = np.array([b - a for a, b in intervals])
-    counts = np.maximum(1, np.round(lengths / lengths.sum() * k).astype(int))
-    while counts.sum() > k:
-        counts[np.argmax(counts)] -= 1
-    while counts.sum() < k:
-        counts[np.argmin(counts / lengths)] += 1
-    pieces = []
-    for (a, b), c in zip(intervals, counts):
-        if c == 0:
-            continue
-        pieces.append(np.linspace(a, b, c) if c > 1 else np.array([a]))
-    return np.concatenate(pieces)

@@ -24,8 +24,9 @@ from popformer.model import (
 )
 from popformer.nn import gradient_check
 from popformer.nn.layers import attention_params, mlp_params, norm_params
+from popformer.selftest import brute_force_ranks
 
-from test_moea import brute_force_ranks, make_pop
+from test_moea import make_pop
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -329,7 +330,7 @@ def test_c09_pretraining_direction_of_effect(shift_training):
         target = problem.target_population(parents)
         result = model.generate(parents, problem, pf.EvaluationBudget(100), rng,
                                 n_offspring=12)
-        off = result.population.decisions()
+        off = result.decisions()
         tgt = target.decisions()
         d2 = ((off[:, None, :] - tgt[None, :, :]) ** 2).sum(axis=2)
         return float(d2.min(axis=1).mean())

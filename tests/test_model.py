@@ -202,16 +202,14 @@ class TestGenerate:
         budget = EvaluationBudget(100)
         rng = np.random.default_rng(0)
         result = self.model.generate(self.parents, self.problem, budget, rng, n_offspring=8)
-        assert len(result.population) == 8
+        assert len(result) == 8
         assert budget.used == 8
-        assert result.exhausted is False
 
     def test_short_generation_on_small_budget(self):
         budget = EvaluationBudget(5)
         rng = np.random.default_rng(0)
         result = self.model.generate(self.parents, self.problem, budget, rng, n_offspring=8)
-        assert len(result.population) == 5
-        assert result.exhausted is True
+        assert len(result) == 5
         assert budget.used == 5
 
     def test_zero_budget_signal(self):
@@ -225,8 +223,8 @@ class TestGenerate:
         budget = EvaluationBudget(50)
         result = self.model.generate(self.parents, self.problem, budget,
                                      np.random.default_rng(1), n_offspring=8)
-        assert result.population.all_evaluated
-        xs = result.population.decisions()
+        assert result.all_evaluated
+        xs = result.decisions()
         assert np.all(xs >= self.problem.spec.lower) and np.all(xs <= self.problem.spec.upper)
 
     def test_reproducible_under_seed(self):
@@ -234,7 +232,7 @@ class TestGenerate:
                                 np.random.default_rng(9), n_offspring=6)
         b = self.model.generate(self.parents, self.problem, EvaluationBudget(20),
                                 np.random.default_rng(9), n_offspring=6)
-        assert np.array_equal(a.population.decisions(), b.population.decisions())
+        assert np.array_equal(a.decisions(), b.decisions())
 
 
 class TestTeacherForcing:
@@ -315,7 +313,7 @@ class TestCapacityPolymorphism:
             parents = evaluated_pop(problem, 6, seed=d)
             budget = EvaluationBudget(12)
             result = model.generate(parents, problem, budget, rng, n_offspring=6)
-            assert len(result.population) == 6
+            assert len(result) == 6
             targets = evaluated_pop(problem, 6, seed=d + 1)
             model.zero_grad()
             loss = teacher_forced_loss(model, parents, targets, problem.spec)
@@ -365,6 +363,14 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_non_finite_weight_rejected_by_name(self, tmp_path):
+        model = PopulationTransformer(TOY, seed=6)
+        model.head.w.data[0, 0] = np.nan
+        path = tmp_path / "model.petm"
+        save_checkpoint(model, path)
+        with pytest.raises(CheckpointError, match="parameter head.w has non-finite"):
             load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -2,27 +2,28 @@ import numpy as np
 import pytest
 
 from popformer import (
+    ModelConfig,
     Population,
+    PopulationTransformer,
     Solution,
     VariationConfig,
-    constrained_dominates,
     crowding_distance,
     cso_step,
-    dominates,
     fast_nondominated_sort,
     igd,
     make_problem,
     nsga2_select,
     polynomial_mutation,
-    random_population,
     run_cso,
     run_nsga2,
+    run_nsga2_model,
     run_random_search,
     sbx_crossover,
 )
 from popformer.dataset import TrajectorySink
 from popformer.errors import ContractViolation
 from popformer.moea import run_generational, sbx_pm_offspring
+from popformer.selftest import brute_force_ranks
 
 
 def make_pop(objs, cvs=None):
@@ -31,23 +32,6 @@ def make_pop(objs, cvs=None):
     return Population(tuple(
         Solution(x=np.zeros(2), f=f, cv=c) for f, c in zip(objs, cvs)
     ))
-
-
-def brute_force_ranks(pop: Population) -> np.ndarray:
-    """Oracle: repeatedly peel the set of members dominated by nobody alive."""
-    relation = constrained_dominates if np.any(pop.violations() > 0) else dominates
-    n = len(pop)
-    rank = np.full(n, -1)
-    alive = set(range(n))
-    level = 0
-    while alive:
-        front = [i for i in alive
-                 if not any(relation(pop[j], pop[i]) for j in alive if j != i)]
-        for i in front:
-            rank[i] = level
-            alive.discard(i)
-        level += 1
-    return rank
 
 
 class TestSort:
@@ -330,6 +314,43 @@ class TestRunLoops:
         # successor of pair k equals parent of pair k+1
         for p1, p2 in zip(sink.pairs, sink.pairs[1:]):
             assert np.allclose(p1.x_g1.decisions(), p2.x_g.decisions())
+
+    @pytest.mark.parametrize("runner", ["nsga2", "cso", "random", "learned"])
+    @pytest.mark.parametrize("n_pop,evals", [(10, 60), (7, 50), (10, 10)])
+    def test_log_accounts_for_every_evaluation(self, runner, n_pop, evals):
+        prob = make_problem("zdt1", d=10)
+        if runner == "learned":
+            model = PopulationTransformer(
+                ModelConfig(d_hat=16, m_hat=4, width=16, layers=1, heads=2, max_seq=12), seed=0)
+            result = run_nsga2_model(prob, model, n_pop, evals, seed=0)
+        else:
+            run = {"nsga2": run_nsga2, "cso": run_cso, "random": run_random_search}[runner]
+            result = run(prob, n_pop, evals, seed=0)
+        assert result.evaluations == evals
+        assert n_pop + sum(e["offspring_evaluated"] for e in result.log) == evals
+        assert [e["evaluations"] for e in result.log] == list(np.cumsum(
+            [e["offspring_evaluated"] for e in result.log]) + n_pop)
+
+    def test_generator_that_consumes_nothing_is_rejected(self):
+        prob = make_problem("zdt1", d=6)
+        with pytest.raises(ContractViolation, match="consumed no evaluations"):
+            run_generational(prob, 10, 100, lambda parents, rng, budget: parents)
+
+    def test_hook_entries_join_the_log(self):
+        prob = make_problem("zdt1", d=6)
+        seen = []
+
+        def hook(parents, offspring):
+            seen.append((len(parents), len(offspring)))
+            return {"offspring": len(offspring)}
+
+        result = run_generational(
+            prob, 10, 35, lambda parents, rng, budget: sbx_pm_offspring(
+                parents, VariationConfig(), rng, prob),
+            after_generation=hook)
+        assert seen == [(10, 10), (10, 10), (10, 5)]
+        assert [e["offspring"] for e in result.log] == [10, 10, 5]
+        assert result.log[-1]["partial"] is True
 
     def test_runner_rejects_starved_budget(self):
         prob = make_problem("zdt1", d=8)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from popformer import (
     collect_trajectories,
     finetune_step,
     make_problem,
+    pipeline,
     pretrain,
     run_nsga2_model,
     save_checkpoint,
@@ -112,6 +115,22 @@ class TestDataset:
         with pytest.raises(DataError):
             TrajectoryDataset.load(path)
 
+    @pytest.mark.parametrize("corrupt", ["nan_objective", "ragged_row"])
+    def test_bad_record_names_file_and_line(self, tmp_path, corrupt):
+        _, pairs = shift_pairs(3)
+        path = tmp_path / "d.jsonl"
+        TrajectoryDataset(pairs=pairs).save(path)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        if corrupt == "nan_objective":
+            rec["f_g1"][1][0] = float("nan")
+        else:
+            rec["x_g"][3] = rec["x_g"][3][:-1]
+        lines[2] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"{path.name}: line 3: "):
+            TrajectoryDataset.load(path)
+
     def test_not_a_dataset_rejected(self, tmp_path):
         path = tmp_path / "x.jsonl"
         path.write_text('{"format":"something-else"}\n')
@@ -153,6 +172,22 @@ class TestPretrain:
             save_checkpoint(model, path)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_non_finite_loss_raises_at_its_step(self, monkeypatch):
+        _, pairs = shift_pairs(4)
+        real = pipeline.teacher_forced_loss
+        calls = []
+
+        def loss_nan_on_second_call(*args):
+            calls.append(1)
+            value = real(*args)
+            return float("nan") if len(calls) == 2 else value
+
+        monkeypatch.setattr(pipeline, "teacher_forced_loss", loss_nan_on_second_call)
+        with pytest.raises(DataError, match="at step 2$"):
+            pretrain(TrajectoryDataset(pairs=pairs), PopulationTransformer(TOY, seed=0),
+                     PretrainConfig(steps=10, batch_size=1, eval_every=50))
+        assert len(calls) == 2
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError):
