@@ -47,6 +47,19 @@ class IgdUndefined(ValueError):
     """IGD is undefined for the given solution set (e.g. empty)."""
 
 
+class ModelOutputError(RuntimeError):
+    """The model produced a non-finite output while generating.
+
+    ``generation`` is the offspring generation's index and ``step`` the
+    decode step, counted from 1, whose output was non-finite.
+    """
+
+    def __init__(self, message: str, generation: int, step: int):
+        super().__init__(message)
+        self.generation = generation
+        self.step = step
+
+
 class CheckpointError(RuntimeError):
     """Checkpoint file is corrupt, truncated or inconsistent with its config."""
 

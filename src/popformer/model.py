@@ -9,6 +9,16 @@ offspring, cross-attending layer-for-layer into the encoder outputs, and a
 linear head squashed through a logistic maps each position back into the
 unit box (denormalized to problem bounds).
 
+Training decodes a whole target sequence at once under a causal mask
+(:meth:`PopulationTransformer.decode`). Generation decodes one row per
+offspring through a :class:`DecoderCache`, which keeps every decoder layer's
+self-attention keys and values of the rows already decoded and the
+cross-attention keys and values over the fixed encoder memories. Both paths
+share the same attention code (``nn.layers.attend``), and the cached one is
+exact: with the parents' objective frame, a row's embedding never depends on
+later rows, so its cached keys and values are the ones a full re-decode of
+the longer prefix would compute again.
+
 One model instance serves every problem whose dimensions fit its capacity.
 """
 from __future__ import annotations
@@ -30,13 +40,21 @@ from .core import (
     normalize_decision,
 )
 from .dataset import minmax_normalize_objectives
-from .errors import BudgetExhausted, CapacityError, CheckpointError, ConfigError, DataError
+from .errors import (
+    BudgetExhausted,
+    CapacityError,
+    CheckpointError,
+    ConfigError,
+    DataError,
+    ModelOutputError,
+)
 from .nn import (
     Adam,
     AttentionParams,
     MlpParams,
     NormParams,
     Tape,
+    attend,
     attention_params,
     causal_mask,
     const,
@@ -44,6 +62,7 @@ from .nn import (
     linear,
     logistic,
     matmul,
+    merge_heads,
     mlp_block,
     mlp_params,
     mul,
@@ -51,6 +70,7 @@ from .nn import (
     norm_params,
     scale,
     softmax,
+    split_heads,
     sub,
     sum_all,
     uniform_linear,
@@ -140,12 +160,46 @@ class EncodedParents:
 
     Decoder contexts are normalized against this frame rather than their own
     min-max: position k's embedding then never depends on later context
-    members, which keeps autoregressive decoding exactly causal.
+    members, which keeps autoregressive decoding exactly causal. It is also
+    what lets a :class:`DecoderCache` keep the keys and values of rows
+    already decoded: appending a row changes none of them.
     """
 
     memories: list[Tensor]
     obj_low: np.ndarray
     obj_span: np.ndarray
+
+
+class DecoderCache:
+    """One generation's decoder state for decoding one row at a time.
+
+    Per decoder layer it holds the cross-attention keys and values over that
+    layer's encoder memory, projected once because the memories are fixed
+    for the generation, and the self-attention keys and values of every row
+    decoded so far, one row appended per step. Rows never change once
+    appended (see :class:`EncodedParents`), so decoding row k through the
+    cache gives row k of :meth:`PopulationTransformer.decode` over the whole
+    prefix, up to rounding. Inference only: it holds plain arrays, no tape.
+    """
+
+    def __init__(self, model: "PopulationTransformer", encoded: EncodedParents,
+                 capacity: int):
+        if len(encoded.memories) != len(model.decoder):
+            raise ConfigError(
+                f"need one encoder memory per decoder layer ({len(model.decoder)}), "
+                f"got {len(encoded.memories)}"
+            )
+        heads = model.config.heads
+        shape = (heads, capacity, model.config.width // heads)
+        self.frame = (encoded.obj_low, encoded.obj_span)
+        self.cross = [
+            (split_heads(linear(memory, blk.cross_attn.k), heads),
+             split_heads(linear(memory, blk.cross_attn.v), heads))
+            for blk, memory in zip(model.decoder, encoded.memories)
+        ]
+        self.keys = [np.empty(shape) for _ in model.decoder]
+        self.values = [np.empty(shape) for _ in model.decoder]
+        self.length = 0
 
 
 def _objective_frame(pop: Population) -> tuple[np.ndarray, np.ndarray]:
@@ -319,6 +373,35 @@ class PopulationTransformer:
             y = mlp_block(layer_norm(cross + yp, blk.ln_mlp), blk.mlp) + cross
         return y
 
+    def decode_next(self, z: Tensor, cache: DecoderCache) -> Tensor:
+        """Decode one embedded row (1, D) after the rows already in ``cache``.
+
+        The same blocks as :meth:`decode`: the new row's self-attention keys
+        and values join the cache, its query attends over every cached row
+        (no mask is needed, none of them is later), and its cross-attention
+        query reads the cached memory projections.
+        """
+        t = cache.length
+        if t == cache.keys[0].shape[1]:
+            raise CapacityError(f"decoder cache is full at {t} rows")
+        heads = self.config.heads
+        y = z
+        for blk, keys, values, (cross_k, cross_v) in zip(
+                self.decoder, cache.keys, cache.values, cache.cross):
+            normed = layer_norm(y, blk.ln_self)
+            p = blk.self_attn
+            keys[:, t] = split_heads(linear(normed, p.k), heads).data[:, 0]
+            values[:, t] = split_heads(linear(normed, p.v), heads).data[:, 0]
+            mixed = attend(split_heads(linear(normed, p.q), heads),
+                           const(keys[:, :t + 1]), const(values[:, :t + 1]))
+            yp = linear(merge_heads(mixed), p.out) + y
+            p = blk.cross_attn
+            mixed = attend(split_heads(linear(yp, p.q), heads), cross_k, cross_v)
+            cross = linear(merge_heads(mixed), p.out)
+            y = mlp_block(layer_norm(cross + yp, blk.ln_mlp), blk.mlp) + cross
+        cache.length = t + 1
+        return y
+
     def head_activations(self, y: Tensor) -> Tensor:
         """Per-position unit-box outputs of width d_hat."""
         logits = linear(y, self.head)
@@ -328,19 +411,37 @@ class PopulationTransformer:
 
     # -- inference ----------------------------------------------------------
 
+    def _push(self, member: Solution, cache: DecoderCache, spec: ProblemSpec) -> Tensor:
+        """Embed one evaluated member in the cache's frame and decode its row."""
+        z = self.embed(Population((member,)), spec, frame=cache.frame)
+        return self.decode_next(z, cache)
+
+    def _decision(self, y: Tensor, spec: ProblemSpec, generation: int,
+                  step: int) -> np.ndarray:
+        """The first d head outputs of row ``y``, denormalized to the bounds."""
+        unit = self.head_activations(y).data[-1, :spec.d]
+        if not np.isfinite(unit).all():
+            raise ModelOutputError(
+                f"generation {generation}, decode step {step}: the model output "
+                f"has non-finite components", generation=generation, step=step,
+            )
+        return denormalize_decision(unit, spec)
+
     def decode_step(self, context: Population, encoded: EncodedParents,
                     spec: ProblemSpec) -> np.ndarray:
         """Next decision vector given the generated-so-far context.
 
-        The context must be non-empty and evaluated; the first d head outputs
-        of the last position are denormalized to the problem bounds.
+        The context must be non-empty and evaluated; it is pushed row by row
+        through a fresh :class:`DecoderCache`, as in :meth:`generate`, and
+        the first d head outputs of the last position are denormalized to
+        the problem bounds.
         """
         if len(context) == 0:
             raise DataError("decode_step needs a non-empty context")
-        frame = (encoded.obj_low, encoded.obj_span)
-        y = self.decode(self.embed(context, spec, frame=frame), encoded.memories)
-        unit = self.head_activations(y).data[-1, :spec.d]
-        return denormalize_decision(unit, spec)
+        cache = DecoderCache(self, encoded, len(context))
+        for member in context:
+            y = self._push(member, cache, spec)
+        return self._decision(y, spec, context.generation_index, len(context))
 
     def generate(self, parents: Population, problem: Problem, budget: EvaluationBudget,
                  rng: np.random.Generator, n_offspring: int | None = None) -> Population:
@@ -350,10 +451,18 @@ class PopulationTransformer:
         both consumes budget and counts as the first offspring; decoding then
         alternates propose / evaluate / append until the target size or the
         budget runs out, so a short population means the budget ran out.
+
+        Each step embeds, decodes and heads only the newest member: a
+        :class:`DecoderCache` carries every earlier row's self-attention keys
+        and values and the parents' cross-attention keys and values, which is
+        exact because rows are normalized in the parents' objective frame. A
+        non-finite model output raises :class:`ModelOutputError` naming the
+        generation and the decode step.
         """
         if not parents.all_evaluated:
             raise DataError("generation requires evaluated parents")
         spec = problem.spec
+        generation = parents.generation_index + 1
         n_target = min(n_offspring or len(parents), self.config.max_seq)
         encoded = self.encode_parents(parents, spec)
         init = Solution(x=rng.uniform(spec.lower, spec.upper))
@@ -362,18 +471,19 @@ class PopulationTransformer:
         except BudgetExhausted as exc:
             raise BudgetExhausted(
                 "no budget for the initialization token", performed=0,
-                population=Population((), parents.generation_index + 1),
+                population=Population((), generation),
             ) from exc
         members = list(seeded.members)
+        cache = DecoderCache(self, encoded, n_target)
         while len(members) < n_target:
-            context = Population(tuple(members), parents.generation_index + 1)
-            x_next = self.decode_step(context, encoded, spec)
+            y = self._push(members[-1], cache, spec)
+            x_next = self._decision(y, spec, generation, len(members))
             try:
                 child = evaluate(Population((Solution(x=x_next),)), problem, budget)
             except BudgetExhausted:
                 break
             members.append(child.members[0])
-        return Population(tuple(members), parents.generation_index + 1)
+        return Population(tuple(members), generation)
 
     # -- training -----------------------------------------------------------
 

@@ -5,14 +5,17 @@ from .layers import (
     LinearParams,
     MlpParams,
     NormParams,
+    attend,
     attention_params,
     causal_mask,
     layer_norm,
     linear,
+    merge_heads,
     mlp_block,
     mlp_params,
     multi_head_attention,
     norm_params,
+    split_heads,
     uniform_linear,
 )
 from .optim import Adam
@@ -36,8 +39,8 @@ from .tensor import (
 
 __all__ = [
     "Adam", "AttentionParams", "LinearParams", "MlpParams", "NormParams", "Tape", "Tensor",
-    "add", "attention_params", "causal_mask", "const", "gradient_check", "layer_norm",
-    "linear", "logistic", "matmul", "mean_all", "mlp_block", "mlp_params", "mul",
-    "multi_head_attention", "norm_params", "permute", "relu", "reshape", "scale",
-    "softmax", "sub", "sum_all", "uniform_linear",
+    "add", "attend", "attention_params", "causal_mask", "const", "gradient_check",
+    "layer_norm", "linear", "logistic", "matmul", "mean_all", "merge_heads", "mlp_block",
+    "mlp_params", "mul", "multi_head_attention", "norm_params", "permute", "relu",
+    "reshape", "scale", "softmax", "split_heads", "sub", "sum_all", "uniform_linear",
 ]

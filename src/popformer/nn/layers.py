@@ -86,13 +86,37 @@ def causal_mask(n: int) -> np.ndarray:
     return np.tril(np.ones((n, n), dtype=bool))
 
 
+def split_heads(t: Tensor, heads: int) -> Tensor:
+    """(s, D) rows to (heads, s, D/heads) per-head slices."""
+    s, width = t.shape
+    return permute(reshape(t, (s, heads, width // heads)), (1, 0, 2))
+
+
+def merge_heads(t: Tensor) -> Tensor:
+    """Inverse of :func:`split_heads`: (heads, s, dk) to (s, heads * dk)."""
+    heads, s, dk = t.shape
+    return reshape(permute(t, (1, 0, 2)), (s, heads * dk))
+
+
+def attend(qh: Tensor, kh: Tensor, vh: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Scaled dot-product attention over per-head (H, s, dk) slices.
+
+    Scores are scaled by 1/sqrt(dk); mask (broadcastable to (H, sq, sk),
+    True = attend) hides positions before normalization. Returns (H, sq, dk).
+    """
+    dk = qh.shape[-1]
+    scores = scale(matmul(qh, permute(kh, (0, 2, 1))), 1.0 / math.sqrt(dk))  # (H, sq, sk)
+    return matmul(softmax(scores, mask=mask), vh)
+
+
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, p: AttentionParams,
                          heads: int, mask: np.ndarray | None = None) -> Tensor:
     """Scaled dot-product attention with per-head projections.
 
     q is (sq, D); k and v are (sk, D). Queries, keys and values are projected
-    to D/heads per head, scores scaled by 1/sqrt(D/heads); mask (broadcastable
-    to (sq, sk), True = attend) hides positions before normalization.
+    and split into D/heads-wide heads, mixed by :func:`attend`, merged and
+    projected out; mask (broadcastable to (sq, sk), True = attend) hides
+    positions before normalization.
     """
     sq, width = q.shape
     sk = k.shape[0]
@@ -100,16 +124,6 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, p: AttentionParams,
         raise ConfigError(f"width {width} not divisible by {heads} heads")
     if k.shape != (sk, width) or v.shape != (sk, width):
         raise ShapeError(f"attention inputs disagree: q{q.shape} k{k.shape} v{v.shape}")
-    dk = width // heads
-
-    def split(t: Tensor, s: int) -> Tensor:
-        return permute(reshape(t, (s, heads, dk)), (1, 0, 2))  # (H, s, dk)
-
-    qh = split(linear(q, p.q), sq)
-    kh = split(linear(k, p.k), sk)
-    vh = split(linear(v, p.v), sk)
-    scores = scale(matmul(qh, permute(kh, (0, 2, 1))), 1.0 / math.sqrt(dk))  # (H, sq, sk)
-    weights = softmax(scores, mask=mask)
-    mixed = matmul(weights, vh)  # (H, sq, dk)
-    merged = reshape(permute(mixed, (1, 0, 2)), (sq, width))
-    return linear(merged, p.out)
+    mixed = attend(split_heads(linear(q, p.q), heads), split_heads(linear(k, p.k), heads),
+                   split_heads(linear(v, p.v), heads), mask=mask)
+    return linear(merge_heads(mixed), p.out)

@@ -139,8 +139,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.shape))
 
     return _emit(out, (a, b), backward)
 
@@ -149,8 +151,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, -_unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accum(b, -_unbroadcast(g, b.shape))
 
     return _emit(out, (a, b), backward)
 
@@ -159,8 +163,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.shape))
 
     return _emit(out, (a, b), backward)
 
@@ -183,12 +189,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def backward(g):
-        if a.ndim == 2:
-            _accum(a, g @ b.data.T)
-            _accum(b, a.data.T @ g)
-        else:
-            _accum(a, g @ b.data.transpose(0, 2, 1))
-            _accum(b, a.data.transpose(0, 2, 1) @ g)
+        # the transpose of the last two axes, for 2-d and batched operands
+        if a.requires_grad:
+            _accum(a, g @ np.swapaxes(b.data, -1, -2))
+        if b.requires_grad:
+            _accum(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return _emit(out, (a, b), backward)
 

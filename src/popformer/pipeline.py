@@ -154,7 +154,8 @@ def pretrain(dataset: TrajectoryDataset, model: PopulationTransformer,
 
 
 def finetune_step(model: PopulationTransformer, x_g: Population, x_g1: Population,
-                  problem: Problem, cfg: FinetuneConfig) -> float | None:
+                  problem: Problem, cfg: FinetuneConfig,
+                  survivors: Population | None = None) -> float | None:
     """One online update: train toward the offspring that selection kept.
 
     The target is the members of ``x_g1`` that survive nsga2_select over
@@ -166,6 +167,8 @@ def finetune_step(model: PopulationTransformer, x_g: Population, x_g1: Populatio
     target the whole survivor set, which pulls the model back toward the
     parents. The loss is taken on the raw populations, so the context is
     normalized in the parents' objective frame exactly as in generation.
+    A caller that already holds that selection passes it as ``survivors``
+    so the union is not sorted twice.
 
     The optimizer is the online update's own Adam (``cfg.lr``, no weight
     decay), created on the first update and kept across generations; it
@@ -176,11 +179,12 @@ def finetune_step(model: PopulationTransformer, x_g: Population, x_g1: Populatio
         return None
     if not (x_g.all_evaluated and x_g1.all_evaluated):
         raise ContractViolation("online update requires evaluated populations")
-    union = Population(x_g.members + x_g1.members, x_g1.generation_index)
+    if survivors is None:
+        survivors = nsga2_select(Population(x_g.members + x_g1.members), len(x_g))
     offspring = {id(s) for s in x_g1.members}
-    survivors = nsga2_select(union, len(x_g)).members
     kept = tuple(s for s in survivors if id(s) in offspring)
-    target = Population(kept if len(kept) >= 2 else survivors, x_g1.generation_index)
+    target = Population(kept if len(kept) >= 2 else survivors.members,
+                        x_g1.generation_index)
     if model.online_optimizer is None or model.online_optimizer.lr != cfg.lr:
         model.online_optimizer = Adam(model.parameters(), lr=cfg.lr, weight_decay=0.0)
     loss = None
@@ -199,17 +203,21 @@ def run_nsga2_model(problem: Problem, model: PopulationTransformer, n_pop: int,
     The run loop is :func:`moea.run_generational`; the model writes each
     offspring generation (every member evaluated as produced), and after the
     merge the online update runs. Its loss, and the IGD of the selected
-    population when ``reference_front`` is given, join the log entry.
+    population when ``reference_front`` is given, join the log entry; the
+    selection is made once and serves both.
     """
     if n_pop > model.config.max_seq:
         raise CapacityError(f"population size {n_pop} exceeds model capacity "
                             f"{model.config.max_seq}")
 
     def after_generation(parents: Population, offspring: Population) -> dict:
-        entry = {"loss": finetune_step(model, parents, offspring, problem, fine_cfg)}
+        survivors = None
         if reference_front is not None:
-            current = nsga2_select(Population(parents.members + offspring.members), n_pop)
-            entry["igd"] = igd(reference_front, current.objectives()).value
+            survivors = nsga2_select(Population(parents.members + offspring.members), n_pop)
+        entry = {"loss": finetune_step(model, parents, offspring, problem, fine_cfg,
+                                       survivors=survivors)}
+        if survivors is not None:
+            entry["igd"] = igd(reference_front, survivors.objectives()).value
         return entry
 
     return run_generational(

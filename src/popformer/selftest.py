@@ -1,14 +1,27 @@
 """Built-in oracle checks runnable from the CLI: sorting vs brute force,
-gradient checks, metric fixtures. Prints one line per check."""
+gradient checks, cached decoding vs a full re-decode, metric fixtures.
+Prints one line per check."""
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Population, Solution, constrained_dominates, dominates
+from .core import (
+    EvaluationBudget,
+    Population,
+    ProblemSpec,
+    Solution,
+    constrained_dominates,
+    denormalize_decision,
+    dominates,
+    evaluate,
+    random_population,
+)
 from .metrics import igd, wilcoxon_rank_sum
+from .model import ModelConfig, PopulationTransformer
 from .moea import fast_nondominated_sort
 from .nn import Tensor, const, gradient_check, layer_norm, linear, mul, sum_all
 from .nn.layers import LinearParams, NormParams
+from .problems import make_problem
 
 
 def _random_population(rng, n, m, constrained=False) -> Population:
@@ -65,6 +78,34 @@ def check_gradients() -> bool:
     return report["max_rel_err"] <= 1e-4
 
 
+def redecode_offspring(model: PopulationTransformer, parents: Population,
+                       offspring: Population, spec: ProblemSpec) -> np.ndarray:
+    """Offspring 1.. as one full causal ``decode`` of the generated prefix
+    computes them: the oracle for cached decoding in ``generate``."""
+    encoded = model.encode_parents(parents, spec)
+    frame = (encoded.obj_low, encoded.obj_span)
+    prefix = Population(offspring.members[:-1])
+    y = model.decode(model.embed(prefix, spec, frame=frame), encoded.memories)
+    return denormalize_decision(model.head_activations(y).data[:, :spec.d], spec)
+
+
+def check_cached_decoding() -> bool:
+    problem = make_problem("zdt4", d=6)  # asymmetric bounds
+    rng = np.random.default_rng(0)
+    parents = evaluate(random_population(problem, 10, rng), problem, EvaluationBudget(10))
+    for layers, heads, head_mode, budget in ((3, 4, "logistic", 10), (1, 1, "softmax", 7)):
+        cfg = ModelConfig(d_hat=8, m_hat=4, width=16, layers=layers, heads=heads,
+                          max_seq=12, head_mode=head_mode)
+        model = PopulationTransformer(cfg, seed=layers)
+        offspring = model.generate(parents, problem, EvaluationBudget(budget), rng,
+                                   n_offspring=10)
+        want = redecode_offspring(model, parents, offspring, problem.spec)
+        if len(offspring) != budget or \
+                np.abs(offspring.decisions()[1:] - want).max() > 1e-12:
+            return False
+    return True
+
+
 def check_igd() -> bool:
     two = np.array([[0.0, 1.0], [1.0, 0.0]])
     cases = [
@@ -84,6 +125,7 @@ def run_selftest() -> bool:
     checks = [
         ("non-dominated sort matches brute force", check_sorting),
         ("gradients match finite differences", check_gradients),
+        ("cached decoding matches a full re-decode", check_cached_decoding),
         ("igd fixtures", check_igd),
         ("rank-sum enumeration fixture", check_ranksum),
     ]

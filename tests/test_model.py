@@ -16,6 +16,7 @@ from popformer.errors import (
     CheckpointError,
     ConfigError,
     DataError,
+    ModelOutputError,
 )
 from popformer.model import (
     ModelConfig,
@@ -25,6 +26,7 @@ from popformer.model import (
     teacher_forced_loss,
 )
 from popformer.nn import Tape, gradient_check
+from popformer.selftest import redecode_offspring
 
 TOY = ModelConfig(d_hat=8, m_hat=4, width=16, layers=2, heads=2, max_seq=12)
 
@@ -233,6 +235,41 @@ class TestGenerate:
         b = self.model.generate(self.parents, self.problem, EvaluationBudget(20),
                                 np.random.default_rng(9), n_offspring=6)
         assert np.array_equal(a.decisions(), b.decisions())
+
+
+class TestCachedDecoding:
+    """Cached ``generate`` against one full ``decode`` of the generated prefix."""
+
+    @pytest.mark.parametrize("layers,heads,head_mode,budget", [
+        (1, 1, "logistic", 20),
+        (1, 4, "logistic", 20),
+        (3, 1, "logistic", 20),
+        (3, 4, "logistic", 20),
+        (2, 4, "softmax", 20),
+        (3, 4, "logistic", 7),  # the budget ends the generation partway
+    ])
+    def test_offspring_match_full_redecode(self, layers, heads, head_mode, budget):
+        cfg = ModelConfig(d_hat=8, m_hat=4, width=16, layers=layers, heads=heads,
+                          max_seq=12, head_mode=head_mode)
+        model = PopulationTransformer(cfg, seed=layers + heads)
+        problem = make_problem("zdt4", d=6)  # asymmetric bounds
+        parents = evaluated_pop(problem, 10, seed=heads)
+        offspring = model.generate(parents, problem, EvaluationBudget(budget),
+                                   np.random.default_rng(layers), n_offspring=10)
+        assert len(offspring) == min(budget, 10)
+        want = redecode_offspring(model, parents, offspring, problem.spec)
+        assert np.abs(offspring.decisions()[1:] - want).max() <= 1e-12
+
+    def test_non_finite_output_names_generation_and_step(self):
+        model = PopulationTransformer(TOY, seed=3)
+        model.head.b.data[0] = np.nan
+        problem = make_problem("zdt1", d=6)
+        parents = Population(evaluated_pop(problem, 8).members, 4)
+        budget = EvaluationBudget(20)
+        with pytest.raises(ModelOutputError, match="generation 5, decode step 1") as exc:
+            model.generate(parents, problem, budget, np.random.default_rng(0))
+        assert (exc.value.generation, exc.value.step) == (5, 1)
+        assert budget.used == 1  # only the initialization token was evaluated
 
 
 class TestTeacherForcing:

@@ -20,6 +20,7 @@ from popformer import (
     save_checkpoint,
     teacher_forced_loss,
 )
+from popformer import moea
 from popformer.errors import CapacityError, ConfigError, DataError
 from popformer.moea import nsga2_select
 
@@ -253,6 +254,16 @@ class TestFinetune:
         got = finetune_step(self.model, self.x_g, self.x_g1, self.problem, FinetuneConfig())
         assert got == want
 
+    def test_given_survivors_equal_own_selection(self):
+        twin = PopulationTransformer(TOY, seed=5)
+        survivors = nsga2_select(Population(self.x_g.members + self.x_g1.members), 6)
+        want = finetune_step(self.model, self.x_g, self.x_g1, self.problem, FinetuneConfig())
+        got = finetune_step(twin, self.x_g, self.x_g1, self.problem, FinetuneConfig(),
+                            survivors=survivors)
+        assert got == want
+        for a, b in zip(self.model.parameters(), twin.parameters()):
+            assert np.array_equal(a.data, b.data)
+
     def test_rejected_offspring_fall_back_to_survivors(self):
         # every offspring is dominated by every parent, so selection keeps the
         # parents and the update trains toward them
@@ -364,6 +375,21 @@ class TestModelRun:
         front = problem.reference_front(50)
         result = run_nsga2_model(problem, model, 8, 32, seed=0, reference_front=front)
         assert all(np.isfinite(e["igd"]) for e in result.log)
+
+    def test_union_sorted_once_per_generation(self, monkeypatch):
+        # the online update and the logged IGD share one selection, so each
+        # generation sorts twice (that selection and the next parents), plus
+        # the final selection
+        calls = []
+        original = moea.fast_nondominated_sort
+        monkeypatch.setattr(moea, "fast_nondominated_sort",
+                            lambda pop: calls.append(len(pop)) or original(pop))
+        problem = make_problem("zdt1", d=8)
+        model = PopulationTransformer(TOY, seed=0)
+        result = run_nsga2_model(problem, model, 8, 32, seed=0,
+                                 reference_front=problem.reference_front(50))
+        assert len(result.log) == 3
+        assert len(calls) == 2 * 3 + 1
 
     def test_population_too_big_for_model(self):
         problem = make_problem("zdt1", d=8)
