@@ -9,7 +9,6 @@ from .core import (
     Population,
     Problem,
     ProblemSpec,
-    Solution,
     constrained_dominates,
     denormalize_decision,
     dominates,
@@ -52,7 +51,7 @@ from .problems import LsmopProblem, ShiftClusterProblem, ZdtProblem, make_proble
 __all__ = [
     "EvaluationBudget", "FinetuneConfig", "FrontPartition", "IgdResult", "LsmopProblem",
     "ModelConfig", "Population", "PopulationTransformer", "PretrainConfig", "Problem",
-    "ProblemSpec", "RankSumResult", "ShiftClusterProblem", "Solution", "TrajectoryDataset",
+    "ProblemSpec", "RankSumResult", "ShiftClusterProblem", "TrajectoryDataset",
     "TrajectoryPair", "TrajectorySink", "VariationConfig", "ZdtProblem",
     "collect_trajectories", "constrained_dominates",
     "crowding_distance", "cso_step", "denormalize_decision", "dominates", "evaluate",

@@ -126,28 +126,30 @@ def default_front_size(m: int) -> int:
     return 1000 if m <= 3 else 5000
 
 
+def _blank_record(payload: dict) -> dict:
+    """A cell's record before it runs: its key fields, no result yet."""
+    case = payload["problem"]
+    return {
+        "arm": ArmSpec(**payload["arm"]).label, "problem": case["name"], "d": case["d"],
+        "m": case["m"], "seed_index": payload["seed_index"], "seed": payload["seed"],
+        "igd": math.nan, "evaluations": 0, "wall_time": 0.0,
+        "status": "ok", "error": None,
+    }
+
+
 def _run_cell(payload: dict) -> dict:
     """Execute one (arm, problem, seed) cell; importable for worker pools."""
     arm = ArmSpec(**payload["arm"])
     case = ProblemCase(**payload["problem"])
-    seed = payload["seed"]
-    n_pop = payload["n_pop"]
-    evals = payload["evals"]
-    front_size = payload["front_size"]
-    record = {
-        "arm": arm.label, "problem": case.name, "d": case.d, "m": case.m,
-        "seed_index": payload["seed_index"], "seed": seed,
-        "igd": math.nan, "evaluations": 0, "wall_time": 0.0,
-        "status": "ok", "error": None,
-    }
+    record = _blank_record(payload)
     start = time.perf_counter()
     try:
         problem = make_problem(case.name, d=case.d, m=case.m)
-        front = problem.reference_front(front_size or default_front_size(case.m))
-        result = ARM_RUNNERS[arm.kind](arm, problem, n_pop, evals, seed)
-        feasible = result.population.evaluated_members()
-        objs = np.array([s.f for s in feasible.members if s.cv == 0.0])
-        record["igd"] = igd(front, objs).value
+        front = problem.reference_front(payload["front_size"] or default_front_size(case.m))
+        result = ARM_RUNNERS[arm.kind](arm, problem, payload["n_pop"], payload["evals"],
+                                       payload["seed"])
+        pop = result.population
+        record["igd"] = igd(front, pop.f[pop.cv == 0]).value
         record["evaluations"] = result.evaluations
     except IgdUndefined:
         record["status"] = "infeasible"
@@ -158,11 +160,22 @@ def _run_cell(payload: dict) -> dict:
     return record
 
 
+def _pooled_result(future, payload: dict) -> dict:
+    """A worker's record, or a failed one naming why the worker gave none."""
+    try:
+        return future.result()
+    except Exception as exc:  # e.g. BrokenProcessPool when a worker dies
+        return {**_blank_record(payload), "status": "failed",
+                "error": f"worker failed: {type(exc).__name__}: {exc}"}
+
+
 def run_benchmark(cfg: ExperimentConfig, workers: int = 1) -> list[RunRecord]:
     """Run every (arm x problem x seed) cell with derived seeds.
 
     Cells are keyed deterministically; with ``workers > 1`` they execute in a
-    process pool and merge back in key order.
+    process pool and merge back in key order. A cell whose worker raised or
+    died, which breaks the pool for every cell still pending, becomes a
+    ``failed`` record naming the error; finished cells keep their results.
     """
     payloads = []
     for case in cfg.problems:
@@ -180,7 +193,8 @@ def run_benchmark(cfg: ExperimentConfig, workers: int = 1) -> list[RunRecord]:
                 })
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, payloads))
+            futures = [pool.submit(_run_cell, p) for p in payloads]
+            results = [_pooled_result(f, p) for f, p in zip(futures, payloads)]
     else:
         results = [_run_cell(p) for p in payloads]
     return [RunRecord(**r) for r in results]

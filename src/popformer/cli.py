@@ -129,7 +129,7 @@ def _cmd_optimize(args) -> int:
         with open(args.log, "w", encoding="utf-8") as fh:
             for entry in result.log:
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    objs = result.population.objectives()
+    objs = result.population.f
     if args.solutions_out:
         np.savetxt(args.solutions_out, objs, delimiter=",")
     print(f"evaluations used: {result.evaluations}")

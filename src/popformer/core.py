@@ -1,12 +1,12 @@
-"""Core data model: solutions, populations, problems, dominance and evaluation budgets.
+"""Core data model: populations, problems, dominance and evaluation budgets.
 
-All objectives follow the minimization convention. Solutions and populations
-are immutable; operations return new values.
+All objectives follow the minimization convention. A population is a set of
+read-only arrays, one row per member; operations return new populations.
 """
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,118 +56,102 @@ class ProblemSpec:
 
 
 @dataclass(frozen=True)
-class Solution:
-    """One candidate: decision vector plus, once evaluated, objectives and violation."""
+class Population:
+    """N candidates of one problem as read-only arrays.
+
+    ``x`` holds the (N, d) decisions. ``f`` holds the (N, m) objectives and
+    ``cv`` the (N,) aggregate constraint violations; both are None while no
+    member is evaluated, and a pending member's rows in them are NaN.
+    """
 
     x: np.ndarray
     f: np.ndarray | None = None
-    cv: float | None = None
-
-    def __post_init__(self):
-        x = _frozen_array(self.x)
-        if x.ndim != 1 or x.size == 0:
-            raise ContractViolation("decision vector must be a non-empty 1-d array")
-        if not np.isfinite(x).all():
-            raise ContractViolation("decision vector contains non-finite components")
-        object.__setattr__(self, "x", x)
-        if (self.f is None) != (self.cv is None):
-            raise ContractViolation("objectives and violation must be set together")
-        if self.f is not None:
-            f = _frozen_array(self.f)
-            if f.ndim != 1 or f.size < 2:
-                raise ContractViolation("objective vector must be 1-d with at least 2 entries")
-            if not np.isfinite(f).all():
-                raise ContractViolation("objective vector contains non-finite components")
-            object.__setattr__(self, "f", f)
-            cv = float(self.cv)
-            if not np.isfinite(cv) or cv < 0:
-                raise ContractViolation(f"constraint violation must be finite and >= 0, got {cv}")
-            object.__setattr__(self, "cv", cv)
-
-    @property
-    def evaluated(self) -> bool:
-        return self.f is not None
-
-    @property
-    def feasible(self) -> bool:
-        return self.evaluated and self.cv == 0.0
-
-
-@dataclass(frozen=True)
-class Population:
-    """Ordered, immutable sequence of solutions belonging to one problem."""
-
-    members: tuple[Solution, ...]
+    cv: np.ndarray | None = None
     generation_index: int = 0
 
     def __post_init__(self):
-        members = tuple(self.members)
-        object.__setattr__(self, "members", members)
+        if (self.f is None) != (self.cv is None):
+            raise ContractViolation("objectives and violation must be set together")
+        try:
+            x, f, cv = (None if a is None else _frozen_array(a) for a in (self.x, self.f, self.cv))
+        except ValueError as exc:  # ragged or non-numeric rows
+            raise ContractViolation(f"population rows must be equal-length numbers: {exc}") from exc
+        if x.ndim != 2 or x.shape[1] == 0 and len(x):
+            raise ContractViolation("decisions must be an (N, d) array with d >= 1")
+        if not np.isfinite(x).all():
+            raise ContractViolation("decision vector contains non-finite components")
         if self.generation_index < 0:
             raise ContractViolation("generation index must be non-negative")
-        if members:
-            d = members[0].x.size
-            m = None
-            for s in members:
-                if s.x.size != d:
-                    raise ContractViolation("population mixes decision dimensions")
-                if s.evaluated:
-                    if m is None:
-                        m = s.f.size
-                    elif s.f.size != m:
-                        raise ContractViolation("population mixes objective counts")
+        object.__setattr__(self, "x", x)
+        if f is None:
+            return
+        if f.ndim != 2 or len(f) != len(x) or f.shape[1] < 2 or cv.shape != (len(x),):
+            raise ContractViolation(
+                f"{len(x)} decisions need (N, m >= 2) objectives and (N,) violations, "
+                f"got {f.shape} and {cv.shape}"
+            )
+        pending = np.isnan(cv)
+        if not np.array_equal(np.isnan(f).all(axis=1), pending):
+            raise ContractViolation("objectives and violation must be set together")
+        if not np.isfinite(f[~pending]).all():
+            raise ContractViolation("objective vector contains non-finite components")
+        done = cv[~pending]
+        if not (np.isfinite(done) & (done >= 0)).all():
+            raise ContractViolation(f"constraint violation must be finite and >= 0, got {done}")
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "cv", cv)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.x)
 
-    def __iter__(self):
-        return iter(self.members)
-
-    def __getitem__(self, i) -> Solution:
-        return self.members[i]
+    @property
+    def evaluated(self) -> np.ndarray:
+        """Per-member mask of the evaluated rows."""
+        return np.zeros(len(self), bool) if self.cv is None else ~np.isnan(self.cv)
 
     @property
     def all_evaluated(self) -> bool:
-        return all(s.evaluated for s in self.members)
+        return bool(self.evaluated.all())
 
-    def evaluated_members(self) -> "Population":
-        return Population(tuple(s for s in self.members if s.evaluated), self.generation_index)
+    def take(self, idx, generation_index: int | None = None) -> "Population":
+        """The members at ``idx``, in that order, optionally as another generation."""
+        f, cv = (None, None) if self.f is None else (self.f[idx], self.cv[idx])
+        return Population(self.x[idx], f, cv, self.generation_index
+                          if generation_index is None else generation_index)
 
-    def decisions(self) -> np.ndarray:
-        return np.array([s.x for s in self.members])
-
-    def objectives(self) -> np.ndarray:
-        if not self.all_evaluated:
-            raise ContractViolation("objectives() requires a fully evaluated population")
-        return np.array([s.f for s in self.members])
-
-    def violations(self) -> np.ndarray:
-        if not self.all_evaluated:
-            raise ContractViolation("violations() requires a fully evaluated population")
-        return np.array([s.cv for s in self.members])
+    def concat(self, other: "Population") -> "Population":
+        """These members followed by ``other``'s, both fully evaluated."""
+        if not (self.all_evaluated and other.all_evaluated):
+            raise ContractViolation("concat requires fully evaluated populations")
+        return Population(np.concatenate([self.x, other.x]),
+                          np.concatenate([self.f, other.f]),
+                          np.concatenate([self.cv, other.cv]), self.generation_index)
 
 
-def dominates(a: Solution, b: Solution) -> bool:
-    """Pareto dominance: a is no worse everywhere and strictly better somewhere."""
-    if not (a.evaluated and b.evaluated):
+def dominates(a: np.ndarray, b: np.ndarray) -> bool:
+    """Pareto dominance of objective row a over row b: no worse everywhere and
+    strictly better somewhere."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ContractViolation("dominance requires both solutions evaluated")
-    if a.f.size != b.f.size:
+    if a.shape != b.shape:
         raise ContractViolation("dominance requires equal objective counts")
-    return bool(np.all(a.f <= b.f) and np.any(a.f < b.f))
+    return bool(np.all(a <= b) and np.any(a < b))
 
 
-def constrained_dominates(a: Solution, b: Solution) -> bool:
-    """Feasibility-first dominance: feasible beats infeasible, smaller violation
-    beats larger, and Pareto dominance decides between feasible solutions."""
-    if not (a.evaluated and b.evaluated):
+def constrained_dominates(a: np.ndarray, a_cv: float, b: np.ndarray, b_cv: float) -> bool:
+    """Feasibility-first dominance of (a, a_cv) over (b, b_cv): feasible beats
+    infeasible, smaller violation beats larger, and Pareto dominance decides
+    between feasible solutions."""
+    if np.isnan(a_cv) or np.isnan(b_cv):
         raise ContractViolation("constrained dominance requires both solutions evaluated")
-    if a.cv == 0.0 and b.cv == 0.0:
+    if a_cv == 0.0 and b_cv == 0.0:
         return dominates(a, b)
-    if a.cv == 0.0:
+    if a_cv == 0.0:
         return True
-    if b.cv == 0.0:
+    if b_cv == 0.0:
         return False
-    return a.cv < b.cv
+    return a_cv < b_cv
 
 
 def normalize_decision(x: np.ndarray, spec: ProblemSpec) -> np.ndarray:
@@ -216,7 +200,8 @@ class Problem:
     def in_bounds(self, x: np.ndarray) -> bool:
         return bool(np.all(x >= self.spec.lower) and np.all(x <= self.spec.upper))
 
-    def evaluate_solution(self, x: np.ndarray) -> Solution:
+    def evaluate_solution(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """Objectives and aggregate violation of one decision vector."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.spec.d,):
             raise ContractViolation(
@@ -234,7 +219,7 @@ class Problem:
         g = np.asarray(self.constraints(x), dtype=float)
         if g.size and not np.isfinite(g).all():
             raise EvaluationError(f"{self.spec.name}: evaluator produced non-finite constraints")
-        return Solution(x=x, f=f, cv=aggregate_violation(g))
+        return f, aggregate_violation(g)
 
 
 class EvaluationBudget:
@@ -292,8 +277,8 @@ def evaluate(pop: Population, problem: Problem, budget: EvaluationBudget) -> Pop
     :class:`BudgetExhausted` is raised carrying the partial population; when it
     covers none, the signal reports zero evaluations performed.
     """
-    pending = [i for i, s in enumerate(pop.members) if not s.evaluated]
-    if not pending:
+    pending = np.flatnonzero(~pop.evaluated)
+    if not len(pending):
         return pop
     grant = budget.reserve(len(pending))
     if grant == 0:
@@ -301,16 +286,17 @@ def evaluate(pop: Population, problem: Problem, budget: EvaluationBudget) -> Pop
             f"budget exhausted: {len(pending)} evaluations requested, none available",
             performed=0, population=pop,
         )
-    members = list(pop.members)
+    f = np.full((len(pop), problem.spec.m), np.nan) if pop.f is None else pop.f.copy()
+    cv = np.full(len(pop), np.nan) if pop.cv is None else pop.cv.copy()
     performed = 0
     try:
         for i in pending[:grant]:
-            members[i] = problem.evaluate_solution(members[i].x)
+            f[i], cv[i] = problem.evaluate_solution(pop.x[i])
             performed += 1
     except Exception:
         budget.release(grant - performed)
         raise
-    result = Population(tuple(members), pop.generation_index)
+    result = Population(pop.x, f, cv, pop.generation_index)
     if grant < len(pending):
         raise BudgetExhausted(
             f"budget exhausted after {grant} of {len(pending)} pending evaluations",
@@ -324,4 +310,4 @@ def random_population(problem: Problem, n: int, rng: np.random.Generator,
     """Uniform random unevaluated population within the problem bounds."""
     spec = problem.spec
     xs = rng.uniform(spec.lower, spec.upper, size=(n, spec.d))
-    return Population(tuple(Solution(x=row) for row in xs), generation_index)
+    return Population(xs, generation_index=generation_index)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Population, ProblemSpec, Solution, normalize_decision
+from .core import Population, ProblemSpec, normalize_decision
 from .errors import DataError
 
 DATASET_FORMAT = "popformer-trajectories"
@@ -27,15 +27,6 @@ def minmax_normalize_objectives(objs: np.ndarray) -> np.ndarray:
     ok = span > 0
     out[:, ok] = (objs[:, ok] - lo[ok]) / span[ok]
     return out
-
-
-def _normalized_population(pop: Population, spec: ProblemSpec) -> Population:
-    objs = minmax_normalize_objectives(pop.objectives())
-    members = tuple(
-        Solution(x=normalize_decision(s.x, spec), f=f, cv=0.0)
-        for s, f in zip(pop.members, objs)
-    )
-    return Population(members, pop.generation_index)
 
 
 @dataclass(frozen=True)
@@ -57,9 +48,9 @@ class TrajectoryPair:
         if not (self.x_g.all_evaluated and self.x_g1.all_evaluated):
             raise DataError("pair populations must be fully evaluated")
         for pop in (self.x_g, self.x_g1):
-            if pop[0].x.size != self.d or pop[0].f.size != self.m:
+            if pop.x.shape[1] != self.d or pop.f.shape[1] != self.m:
                 raise DataError(
-                    f"pair dimensions (d={pop[0].x.size}, m={pop[0].f.size}) "
+                    f"pair dimensions (d={pop.x.shape[1]}, m={pop.f.shape[1]}) "
                     f"do not match declared (d={self.d}, m={self.m})"
                 )
 
@@ -69,12 +60,10 @@ class TrajectoryPair:
         """Normalize two raw (bound-space) populations into a stored pair."""
         if not (x_g.all_evaluated and x_g1.all_evaluated):
             raise DataError("cannot build a pair from unevaluated populations")
-        return cls(
-            problem_name=spec.name, d=spec.d, m=spec.m, teacher=teacher,
-            seed=seed, generation=generation,
-            x_g=_normalized_population(x_g, spec),
-            x_g1=_normalized_population(x_g1, spec),
-        )
+        x_g, x_g1 = (Population(normalize_decision(p.x, spec), minmax_normalize_objectives(p.f),
+                                np.zeros(len(p)), p.generation_index) for p in (x_g, x_g1))
+        return cls(problem_name=spec.name, d=spec.d, m=spec.m, teacher=teacher,
+                   seed=seed, generation=generation, x_g=x_g, x_g1=x_g1)
 
     @property
     def size(self) -> int:
@@ -98,29 +87,11 @@ def _pair_record(pair: TrajectoryPair) -> dict:
         "teacher": pair.teacher,
         "seed": pair.seed,
         "generation": pair.generation,
-        "x_g": pair.x_g.decisions().tolist(),
-        "f_g": pair.x_g.objectives().tolist(),
-        "x_g1": pair.x_g1.decisions().tolist(),
-        "f_g1": pair.x_g1.objectives().tolist(),
+        "x_g": pair.x_g.x.tolist(),
+        "f_g": pair.x_g.f.tolist(),
+        "x_g1": pair.x_g1.x.tolist(),
+        "f_g1": pair.x_g1.f.tolist(),
     }
-
-
-def _pair_from_record(rec: dict) -> TrajectoryPair:
-    try:
-        def pop(xs, fs, gen):
-            members = tuple(
-                Solution(x=np.array(x), f=np.array(f), cv=0.0) for x, f in zip(xs, fs)
-            )
-            return Population(members, gen)
-
-        return TrajectoryPair(
-            problem_name=rec["problem"], d=int(rec["d"]), m=int(rec["m"]),
-            teacher=rec["teacher"], seed=int(rec["seed"]), generation=int(rec["generation"]),
-            x_g=pop(rec["x_g"], rec["f_g"], int(rec["generation"])),
-            x_g1=pop(rec["x_g1"], rec["f_g1"], int(rec["generation"]) + 1),
-        )
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"malformed trajectory record: {exc}") from exc
 
 
 class TrajectorySink:
@@ -178,9 +149,17 @@ class TrajectoryDataset:
         pairs = []
         for no, ln in lines[1:]:
             try:
-                pairs.append(_pair_from_record(json.loads(ln)))
-            except ValueError as exc:  # includes ContractViolation and bad JSON
-                raise DataError(f"{path}: line {no}: {exc}") from exc
+                rec = json.loads(ln)
+                gen = int(rec["generation"])
+                pairs.append(TrajectoryPair(
+                    problem_name=rec["problem"], d=int(rec["d"]), m=int(rec["m"]),
+                    teacher=rec["teacher"], seed=int(rec["seed"]), generation=gen,
+                    x_g=Population(rec["x_g"], rec["f_g"], np.zeros(len(rec["f_g"])), gen),
+                    x_g1=Population(rec["x_g1"], rec["f_g1"], np.zeros(len(rec["f_g1"])),
+                                    gen + 1),
+                ))
+            except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
+                raise DataError(f"{path}: line {no}: malformed record: {exc!r}") from exc
         if manifest.get("pair_count") != len(pairs):
             raise DataError(
                 f"{path}: manifest declares {manifest.get('pair_count')} pairs, found {len(pairs)}"

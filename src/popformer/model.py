@@ -34,9 +34,7 @@ from .core import (
     Population,
     Problem,
     ProblemSpec,
-    Solution,
     denormalize_decision,
-    evaluate,
     normalize_decision,
 )
 from .dataset import minmax_normalize_objectives
@@ -202,13 +200,6 @@ class DecoderCache:
         self.length = 0
 
 
-def _objective_frame(pop: Population) -> tuple[np.ndarray, np.ndarray]:
-    objs = pop.objectives()
-    low = objs.min(axis=0)
-    span = objs.max(axis=0) - low
-    return low, span
-
-
 def _norm_param_list(prefix: str, p: NormParams):
     return [(f"{prefix}.gain", p.gain), (f"{prefix}.bias", p.bias)]
 
@@ -280,54 +271,37 @@ class PopulationTransformer:
 
     # -- embedding ----------------------------------------------------------
 
-    def _check_capacity(self, n: int, d: int | None = None, m: int | None = None) -> None:
-        cfg = self.config
-        if d is not None and d > cfg.d_hat:
-            raise CapacityError(f"decision dimension {d} exceeds capacity {cfg.d_hat}")
-        if m is not None and m > cfg.m_hat:
-            raise CapacityError(f"objective count {m} exceeds capacity {cfg.m_hat}")
-        if n > cfg.max_seq:
-            raise CapacityError(f"population size {n} exceeds capacity {cfg.max_seq}")
+    def embed(self, x: np.ndarray, f: np.ndarray, spec: ProblemSpec,
+              frame: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
+        """Token sequence, row per member: the normalized decisions ``x``
+        zero-padded to d_hat, plus the min-max normalized objectives ``f``
+        padded to m_hat, each projected to model width.
 
-    def embed_decisions(self, pop: Population, spec: ProblemSpec) -> Tensor:
-        """Zero-pad normalized decisions to d_hat and project to model width."""
-        n = len(pop)
-        self._check_capacity(n, d=spec.d)
-        padded = np.zeros((n, self.config.d_hat))
-        for i, s in enumerate(pop.members):
-            padded[i, :spec.d] = normalize_decision(s.x, spec)
-        return matmul(const(padded), self.e_dim)
-
-    def embed_objectives(self, pop: Population,
-                         frame: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
-        """Min-max normalized objectives, padded to m_hat and projected.
-
-        Without a frame the population normalizes against its own per-column
+        Without a frame the rows normalize against their own per-column
         min-max (zero ranges map to 0.5). With a frame (a parent generation's
         low/span) values normalize against that frame and are clipped to a
         generous window so outlier offspring cannot blow up activations.
         """
-        if not pop.all_evaluated:
-            raise DataError("objective embedding requires a fully evaluated population")
-        objs = pop.objectives()
-        n, m = objs.shape
-        self._check_capacity(n, m=m)
+        (n, m), cfg = f.shape, self.config
+        if spec.d > cfg.d_hat:
+            raise CapacityError(f"decision dimension {spec.d} exceeds capacity {cfg.d_hat}")
+        if m > cfg.m_hat:
+            raise CapacityError(f"objective count {m} exceeds capacity {cfg.m_hat}")
+        if n > cfg.max_seq:
+            raise CapacityError(f"population size {n} exceeds capacity {cfg.max_seq}")
         if frame is None:
-            normed = minmax_normalize_objectives(objs)
+            normed = minmax_normalize_objectives(f)
         else:
             low, span = frame
-            normed = np.full_like(objs, 0.5)
+            normed = np.full_like(f, 0.5)
             ok = span > 0
-            normed[:, ok] = (objs[:, ok] - low[ok]) / span[ok]
+            normed[:, ok] = (f[:, ok] - low[ok]) / span[ok]
             normed = np.clip(normed, -1.0, 2.0)
-        padded = np.zeros((n, self.config.m_hat))
-        padded[:, :m] = normed
-        return matmul(const(padded), self.e_obj)
-
-    def embed(self, pop: Population, spec: ProblemSpec,
-              frame: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
-        """Token sequence: decision embedding plus objective encoding, row per member."""
-        return self.embed_decisions(pop, spec) + self.embed_objectives(pop, frame=frame)
+        decisions = np.zeros((n, cfg.d_hat))
+        decisions[:, :spec.d] = normalize_decision(x, spec)
+        objectives = np.zeros((n, cfg.m_hat))
+        objectives[:, :m] = normed
+        return matmul(const(decisions), self.e_dim) + matmul(const(objectives), self.e_obj)
 
     # -- encoder / decoder --------------------------------------------------
 
@@ -342,16 +316,14 @@ class PopulationTransformer:
             outputs.append(z)
         return outputs
 
-    def encode(self, z: Tensor) -> Tensor:
-        return self.encode_layers(z)[-1]
-
     def encode_parents(self, parents: Population, spec: ProblemSpec) -> EncodedParents:
         """Run the encoder once; the result conditions every decode step."""
         if not parents.all_evaluated:
             raise DataError("encoding requires an evaluated parent population")
-        low, span = _objective_frame(parents)
-        memories = self.encode_layers(self.embed(parents, spec))
-        return EncodedParents(memories=memories, obj_low=low, obj_span=span)
+        low = parents.f.min(axis=0)
+        memories = self.encode_layers(self.embed(parents.x, parents.f, spec))
+        return EncodedParents(memories=memories, obj_low=low,
+                              obj_span=parents.f.max(axis=0) - low)
 
     def decode(self, y: Tensor, memories: list[Tensor]) -> Tensor:
         """Masked self-attention, cross-attention into the encoder, then MLP.
@@ -411,11 +383,6 @@ class PopulationTransformer:
 
     # -- inference ----------------------------------------------------------
 
-    def _push(self, member: Solution, cache: DecoderCache, spec: ProblemSpec) -> Tensor:
-        """Embed one evaluated member in the cache's frame and decode its row."""
-        z = self.embed(Population((member,)), spec, frame=cache.frame)
-        return self.decode_next(z, cache)
-
     def _decision(self, y: Tensor, spec: ProblemSpec, generation: int,
                   step: int) -> np.ndarray:
         """The first d head outputs of row ``y``, denormalized to the bounds."""
@@ -426,22 +393,6 @@ class PopulationTransformer:
                 f"has non-finite components", generation=generation, step=step,
             )
         return denormalize_decision(unit, spec)
-
-    def decode_step(self, context: Population, encoded: EncodedParents,
-                    spec: ProblemSpec) -> np.ndarray:
-        """Next decision vector given the generated-so-far context.
-
-        The context must be non-empty and evaluated; it is pushed row by row
-        through a fresh :class:`DecoderCache`, as in :meth:`generate`, and
-        the first d head outputs of the last position are denormalized to
-        the problem bounds.
-        """
-        if len(context) == 0:
-            raise DataError("decode_step needs a non-empty context")
-        cache = DecoderCache(self, encoded, len(context))
-        for member in context:
-            y = self._push(member, cache, spec)
-        return self._decision(y, spec, context.generation_index, len(context))
 
     def generate(self, parents: Population, problem: Problem, budget: EvaluationBudget,
                  rng: np.random.Generator, n_offspring: int | None = None) -> Population:
@@ -455,35 +406,38 @@ class PopulationTransformer:
         Each step embeds, decodes and heads only the newest member: a
         :class:`DecoderCache` carries every earlier row's self-attention keys
         and values and the parents' cross-attention keys and values, which is
-        exact because rows are normalized in the parents' objective frame. A
-        non-finite model output raises :class:`ModelOutputError` naming the
-        generation and the decode step.
+        exact because rows are normalized in the parents' objective frame.
+        Offspring rows are written into arrays preallocated for the target
+        size. A non-finite model output raises :class:`ModelOutputError`
+        naming the generation and the decode step.
         """
         if not parents.all_evaluated:
             raise DataError("generation requires evaluated parents")
         spec = problem.spec
         generation = parents.generation_index + 1
         n_target = min(n_offspring or len(parents), self.config.max_seq)
-        encoded = self.encode_parents(parents, spec)
-        init = Solution(x=rng.uniform(spec.lower, spec.upper))
-        try:
-            seeded = evaluate(Population((init,)), problem, budget)
-        except BudgetExhausted as exc:
-            raise BudgetExhausted(
-                "no budget for the initialization token", performed=0,
-                population=Population((), generation),
-            ) from exc
-        members = list(seeded.members)
-        cache = DecoderCache(self, encoded, n_target)
-        while len(members) < n_target:
-            y = self._push(members[-1], cache, spec)
-            x_next = self._decision(y, spec, generation, len(members))
+        cache = DecoderCache(self, self.encode_parents(parents, spec), n_target)
+        x, f, cv = np.empty((n_target, spec.d)), np.empty((n_target, spec.m)), np.empty(n_target)
+        x[0] = rng.uniform(spec.lower, spec.upper)
+        size = 0
+        while size < n_target:
+            if size:
+                z = self.embed(x[size - 1:size], f[size - 1:size], spec, frame=cache.frame)
+                x[size] = self._decision(self.decode_next(z, cache), spec, generation, size)
+            if budget.reserve(1) == 0:
+                if size:
+                    break
+                raise BudgetExhausted(
+                    "no budget for the initialization token", performed=0,
+                    population=Population(x[:0], generation_index=generation),
+                )
             try:
-                child = evaluate(Population((Solution(x=x_next),)), problem, budget)
-            except BudgetExhausted:
-                break
-            members.append(child.members[0])
-        return Population(tuple(members), generation)
+                f[size], cv[size] = problem.evaluate_solution(x[size])
+            except Exception:
+                budget.release(1)
+                raise
+            size += 1
+        return Population(x[:size], f[:size], cv[:size], generation)
 
     # -- training -----------------------------------------------------------
 
@@ -498,16 +452,17 @@ class PopulationTransformer:
         """
         if len(targets) < 2:
             raise DataError("teacher forcing needs a target population of size >= 2")
-        if parents[0].x.size != targets[0].x.size or parents[0].f.size != targets[0].f.size:
+        if not (parents.all_evaluated and targets.all_evaluated):
+            raise DataError("teacher forcing requires evaluated populations")
+        if parents.x.shape[1] != targets.x.shape[1] or parents.f.shape[1] != targets.f.shape[1]:
             raise DataError("parent and target populations disagree in (d, m)")
         encoded = self.encode_parents(parents, spec)
         frame = (encoded.obj_low, encoded.obj_span)
-        context = Population(targets.members[:-1], targets.generation_index)
-        y = self.decode(self.embed(context, spec, frame=frame), encoded.memories)
+        y = self.decode(self.embed(targets.x[:-1], targets.f[:-1], spec, frame=frame),
+                        encoded.memories)
         pred = self.head_activations(y)  # (T-1, d_hat)
         goal = np.zeros((len(targets) - 1, self.config.d_hat))
-        for i, s in enumerate(targets.members[1:]):
-            goal[i, :spec.d] = normalize_decision(s.x, spec)
+        goal[:, :spec.d] = normalize_decision(targets.x[1:], spec)
         mask = np.zeros(self.config.d_hat)
         mask[:spec.d] = 1.0
         diff = sub(pred, const(goal))

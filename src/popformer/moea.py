@@ -15,7 +15,6 @@ from .core import (
     EvaluationBudget,
     Population,
     Problem,
-    Solution,
     evaluate,
     random_population,
 )
@@ -71,7 +70,7 @@ def fast_nondominated_sort(pop: Population) -> FrontPartition:
     if not pop.all_evaluated:
         raise ContractViolation("sorting requires a fully evaluated population")
     n = len(pop)
-    dom = _dominance_matrix(pop.objectives(), pop.violations())
+    dom = _dominance_matrix(pop.f, pop.cv)
     counts = dom.sum(axis=0)
     rank = np.full(n, -1, dtype=int)
     fronts: list[tuple[int, ...]] = []
@@ -119,38 +118,25 @@ def crowding_distance(front_objs: np.ndarray) -> np.ndarray:
 def rank_and_crowding(pop: Population) -> tuple[np.ndarray, np.ndarray]:
     """Ranks plus per-front crowding scores for the whole population."""
     part = fast_nondominated_sort(pop)
-    objs = pop.objectives()
     crowd = np.zeros(len(pop))
     for front in part.fronts:
         idx = np.array(front)
-        crowd[idx] = crowding_distance(objs[idx])
+        crowd[idx] = crowding_distance(pop.f[idx])
     return part.rank, crowd
 
 
-def nsga2_select(pop: Population, n: int) -> Population:
-    """Environmental selection: whole fronts in rank order, the split front by
-    descending crowding distance, ties broken by lower member index.
+def nsga2_select(pop: Population, n: int) -> np.ndarray:
+    """Environmental selection: the indices of the ``n`` members kept, whole
+    fronts in rank order, the split front by descending crowding distance,
+    ties broken by lower member index.
 
-    Output members are ordered by (rank asc, crowding desc, index asc); that
+    The indices are ordered by (rank asc, crowding desc, index asc); that
     canonical order doubles as the target ordering for sequence training.
     """
     if n > len(pop):
         raise ContractViolation(f"cannot select {n} from a population of {len(pop)}")
-    part = fast_nondominated_sort(pop)
-    objs = pop.objectives()
-    chosen: list[int] = []
-    for front in part.fronts:
-        idx = np.array(front)
-        crowd = crowding_distance(objs[idx])
-        order = sorted(range(len(idx)), key=lambda k: (-crowd[k], idx[k]))
-        ordered = [int(idx[k]) for k in order]
-        if len(chosen) + len(ordered) <= n:
-            chosen.extend(ordered)
-        else:
-            chosen.extend(ordered[: n - len(chosen)])
-        if len(chosen) == n:
-            break
-    return Population(tuple(pop.members[i] for i in chosen), pop.generation_index)
+    rank, crowd = rank_and_crowding(pop)
+    return np.lexsort((np.arange(len(pop)), -crowd, rank))[:n]
 
 
 def _tournament(rank, crowd, rng, count):
@@ -237,17 +223,16 @@ def sbx_pm_offspring(parents: Population, cfg: VariationConfig,
     rank, crowd = rank_and_crowding(parents)
     n = len(parents)
     picks = _tournament(rank, crowd, rng, n)
-    children: list[Solution] = []
+    children = np.empty((n, spec.d))
     for k in range(0, n - 1, 2):
-        p1 = parents.members[picks[k]].x
-        p2 = parents.members[picks[k + 1]].x
-        c1, c2 = sbx_crossover(p1, p2, cfg, rng, spec.lower, spec.upper)
-        children.append(Solution(x=polynomial_mutation(c1, cfg, rng, spec.lower, spec.upper)))
-        children.append(Solution(x=polynomial_mutation(c2, cfg, rng, spec.lower, spec.upper)))
-    if len(children) < n:  # odd population: mutate the last pick
-        c = polynomial_mutation(parents.members[picks[-1]].x, cfg, rng, spec.lower, spec.upper)
-        children.append(Solution(x=c))
-    return Population(tuple(children), parents.generation_index + 1)
+        c1, c2 = sbx_crossover(parents.x[picks[k]], parents.x[picks[k + 1]], cfg, rng,
+                               spec.lower, spec.upper)
+        children[k] = polynomial_mutation(c1, cfg, rng, spec.lower, spec.upper)
+        children[k + 1] = polynomial_mutation(c2, cfg, rng, spec.lower, spec.upper)
+    if n % 2:  # odd population: mutate the last pick
+        children[-1] = polynomial_mutation(parents.x[picks[-1]], cfg, rng,
+                                           spec.lower, spec.upper)
+    return Population(children, generation_index=parents.generation_index + 1)
 
 
 def cso_step(pop: Population, rng: np.random.Generator, problem: Problem) -> Population:
@@ -259,7 +244,7 @@ def cso_step(pop: Population, rng: np.random.Generator, problem: Problem) -> Pop
     spec = problem.spec
     rank, crowd = rank_and_crowding(pop)
     perm = rng.permutation(len(pop))
-    out: list[Solution] = list(pop.members)
+    x, f, cv = pop.x.copy(), pop.f.copy(), pop.cv.copy()
     for k in range(0, len(pop) - 1, 2):
         i, j = int(perm[k]), int(perm[k + 1])
         # winner by (rank, -crowding, index); rank already encodes constrained dominance
@@ -267,10 +252,10 @@ def cso_step(pop: Population, rng: np.random.Generator, problem: Problem) -> Pop
         b = (rank[j], -crowd[j], j)
         win, lose = (i, j) if a <= b else (j, i)
         r = rng.random(spec.d)
-        moved = pop.members[lose].x + r * (pop.members[win].x - pop.members[lose].x)
-        moved = np.clip(moved, spec.lower, spec.upper)
-        out[lose] = Solution(x=moved)
-    return Population(tuple(out), pop.generation_index + 1)
+        moved = pop.x[lose] + r * (pop.x[win] - pop.x[lose])
+        x[lose] = np.clip(moved, spec.lower, spec.upper)
+        f[lose], cv[lose] = np.nan, np.nan
+    return Population(x, f, cv, pop.generation_index + 1)
 
 
 def random_offspring(parents: Population, rng: np.random.Generator,
@@ -293,7 +278,7 @@ def _evaluate_available(pop: Population, problem: Problem,
         return evaluate(pop, problem, budget)
     except BudgetExhausted as exc:
         partial = exc.population if exc.population is not None else pop
-        return partial.evaluated_members()
+        return partial.take(np.flatnonzero(partial.evaluated))
 
 
 def run_generational(problem: Problem, n_pop: int, evals: int, make_offspring,
@@ -306,10 +291,13 @@ def run_generational(problem: Problem, n_pop: int, evals: int, make_offspring,
     itself within the budget and may return a mix of evaluated and unevaluated
     members; the loop evaluates what is left, budget permitting. A generation
     that consumes no evaluations is a contract violation, since the budget
-    would never drain. ``after_generation(parents, offspring) -> dict``, when
-    given, runs after each merge and its entries join that generation's log
-    entry. Each loop iteration records its post-selection parents;
-    consecutive recorded parents become trajectory pairs on the sink.
+    would never drain. Each generation's environmental selection over
+    parents and offspring is made once and gives the next parents (and, after
+    the last generation, the final population). ``after_generation(parents,
+    offspring, selected) -> dict``, when given, receives that selection's
+    indices into the parents followed by the offspring; its entries join the
+    generation's log entry. Each loop iteration records its post-selection
+    parents; consecutive recorded parents become trajectory pairs on the sink.
     """
     if n_pop < 2:
         raise ContractViolation("population size must be at least 2")
@@ -318,12 +306,12 @@ def run_generational(problem: Problem, n_pop: int, evals: int, make_offspring,
     budget = EvaluationBudget(evals)
     rng = np.random.default_rng(seed)
     pool = evaluate(random_population(problem, n_pop, rng), problem, budget)
+    selected = nsga2_select(pool, n_pop)
     log: list[dict] = []
     prev_parents: Population | None = None
     generation = 0
     while budget.remaining > 0:
-        parents = nsga2_select(pool, n_pop)
-        parents = Population(parents.members, generation)
+        parents = pool.take(selected, generation)
         if sink is not None and prev_parents is not None:
             sink.append(TrajectoryPair.from_populations(
                 problem.spec, prev_parents, parents,
@@ -336,7 +324,8 @@ def run_generational(problem: Problem, n_pop: int, evals: int, make_offspring,
             raise ContractViolation(
                 "generation consumed no evaluations; the budget would never drain"
             )
-        pool = Population(parents.members + offspring.members, generation)
+        pool = parents.concat(offspring)
+        selected = nsga2_select(pool, n_pop)
         entry = {
             "generation": generation,
             "evaluations": budget.used,
@@ -344,11 +333,10 @@ def run_generational(problem: Problem, n_pop: int, evals: int, make_offspring,
             "partial": len(offspring) < n_pop,
         }
         if after_generation is not None:
-            entry.update(after_generation(parents, offspring))
+            entry.update(after_generation(parents, offspring, selected))
         log.append(entry)
         generation += 1
-    final = nsga2_select(pool, n_pop)
-    return RunResult(population=final, log=log, evaluations=budget.used)
+    return RunResult(population=pool.take(selected), log=log, evaluations=budget.used)
 
 
 def run_nsga2(problem: Problem, n_pop: int, evals: int,

@@ -13,7 +13,7 @@ from .dataset import TrajectoryDataset, TrajectoryPair, TrajectorySink
 from .errors import CapacityError, ConfigError, ContractViolation, DataError
 from .metrics import igd
 from .model import PopulationTransformer, teacher_forced_loss
-from .moea import TEACHERS, RunResult, nsga2_select, run_generational
+from .moea import TEACHERS, RunResult, run_generational
 from .nn import Adam
 
 log = logging.getLogger(__name__)
@@ -154,21 +154,20 @@ def pretrain(dataset: TrajectoryDataset, model: PopulationTransformer,
 
 
 def finetune_step(model: PopulationTransformer, x_g: Population, x_g1: Population,
-                  problem: Problem, cfg: FinetuneConfig,
-                  survivors: Population | None = None) -> float | None:
+                  problem: Problem, cfg: FinetuneConfig, selected: np.ndarray) -> float | None:
     """One online update: train toward the offspring that selection kept.
 
-    The target is the members of ``x_g1`` that survive nsga2_select over
-    (parents u offspring) at the parent population size, in selection order.
-    Training toward the whole survivor set instead would teach copying: its
-    displacement from the parents is only the surviving share of the model's
-    own step, so every update shrinks that step. Only when fewer than two
-    offspring survive, i.e. the model's proposals were rejected, is the
-    target the whole survivor set, which pulls the model back toward the
-    parents. The loss is taken on the raw populations, so the context is
-    normalized in the parents' objective frame exactly as in generation.
-    A caller that already holds that selection passes it as ``survivors``
-    so the union is not sorted twice.
+    ``selected`` is nsga2_select's choice over (parents u offspring) at the
+    parent population size: indices into ``x_g`` followed by ``x_g1``, in
+    selection order. The target is the offspring among them, the indices
+    from ``len(x_g)`` on, in that order. Training toward the whole survivor
+    set instead would teach copying: its displacement from the parents is
+    only the surviving share of the model's own step, so every update
+    shrinks that step. Only when fewer than two offspring survive, i.e. the
+    model's proposals were rejected, is the target the whole survivor set,
+    which pulls the model back toward the parents. The loss is taken on the
+    raw populations, so the context is normalized in the parents' objective
+    frame exactly as in generation.
 
     The optimizer is the online update's own Adam (``cfg.lr``, no weight
     decay), created on the first update and kept across generations; it
@@ -179,12 +178,8 @@ def finetune_step(model: PopulationTransformer, x_g: Population, x_g1: Populatio
         return None
     if not (x_g.all_evaluated and x_g1.all_evaluated):
         raise ContractViolation("online update requires evaluated populations")
-    if survivors is None:
-        survivors = nsga2_select(Population(x_g.members + x_g1.members), len(x_g))
-    offspring = {id(s) for s in x_g1.members}
-    kept = tuple(s for s in survivors if id(s) in offspring)
-    target = Population(kept if len(kept) >= 2 else survivors.members,
-                        x_g1.generation_index)
+    kept = selected[selected >= len(x_g)] - len(x_g)
+    target = x_g1.take(kept) if len(kept) >= 2 else x_g.concat(x_g1).take(selected)
     if model.online_optimizer is None or model.online_optimizer.lr != cfg.lr:
         model.online_optimizer = Adam(model.parameters(), lr=cfg.lr, weight_decay=0.0)
     loss = None
@@ -203,21 +198,19 @@ def run_nsga2_model(problem: Problem, model: PopulationTransformer, n_pop: int,
     The run loop is :func:`moea.run_generational`; the model writes each
     offspring generation (every member evaluated as produced), and after the
     merge the online update runs. Its loss, and the IGD of the selected
-    population when ``reference_front`` is given, join the log entry; the
-    selection is made once and serves both.
+    population when ``reference_front`` is given, join the log entry; both
+    use the loop's one selection of the generation.
     """
     if n_pop > model.config.max_seq:
         raise CapacityError(f"population size {n_pop} exceeds model capacity "
                             f"{model.config.max_seq}")
 
-    def after_generation(parents: Population, offspring: Population) -> dict:
-        survivors = None
+    def after_generation(parents: Population, offspring: Population,
+                         selected: np.ndarray) -> dict:
+        entry = {"loss": finetune_step(model, parents, offspring, problem, fine_cfg, selected)}
         if reference_front is not None:
-            survivors = nsga2_select(Population(parents.members + offspring.members), n_pop)
-        entry = {"loss": finetune_step(model, parents, offspring, problem, fine_cfg,
-                                       survivors=survivors)}
-        if survivors is not None:
-            entry["igd"] = igd(reference_front, survivors.objectives()).value
+            survivors = np.concatenate([parents.f, offspring.f])[selected]
+            entry["igd"] = igd(reference_front, survivors).value
         return entry
 
     return run_generational(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import Population, Problem, ProblemSpec, Solution
+from ..core import EvaluationBudget, Population, Problem, ProblemSpec, evaluate
 
 
 class ShiftClusterProblem(Problem):
@@ -50,15 +50,13 @@ class ShiftClusterProblem(Problem):
             base = self.random_base(rng)
         noise = rng.uniform(-self.spread, self.spread, size=(n, self.spec.d))
         xs = np.clip(base[None, :] + noise, 0.0, 1.0)
-        return Population(tuple(Solution(x=row) for row in xs))
+        return Population(xs)
 
     def target_population(self, pop: Population) -> Population:
         """The analytically optimal successor: every member shifted one step."""
-        xs = np.clip(pop.decisions() + self.shift[None, :], 0.0, 1.0)
-        return Population(tuple(Solution(x=row) for row in xs),
-                          pop.generation_index + 1)
+        xs = np.clip(pop.x + self.shift[None, :], 0.0, 1.0)
+        return Population(xs, generation_index=pop.generation_index + 1)
 
     def evaluate_free(self, pop: Population) -> Population:
         """Evaluate without budget accounting (dataset construction only)."""
-        return Population(tuple(self.evaluate_solution(s.x) for s in pop.members),
-                          pop.generation_index)
+        return evaluate(pop, self, EvaluationBudget(max(len(pop), 1)))

@@ -9,10 +9,8 @@ from .core import (
     EvaluationBudget,
     Population,
     ProblemSpec,
-    Solution,
     constrained_dominates,
     denormalize_decision,
-    dominates,
     evaluate,
     random_population,
 )
@@ -27,21 +25,20 @@ from .problems import make_problem
 def _random_population(rng, n, m, constrained=False) -> Population:
     objs = rng.integers(0, 5, size=(n, m)).astype(float)
     cv = rng.integers(0, 3, size=n).astype(float) * 0.5 if constrained else np.zeros(n)
-    return Population(tuple(
-        Solution(x=rng.random(3), f=objs[i], cv=cv[i]) for i in range(n)
-    ))
+    return Population(rng.random((n, 3)), objs, cv)
 
 
 def brute_force_ranks(pop: Population) -> np.ndarray:
     """O(N^2) peeling oracle using only the pairwise dominance predicates."""
-    relation = constrained_dominates if np.any(pop.violations() > 0) else dominates
+    f, cv = pop.f, pop.cv
     n = len(pop)
     rank = np.full(n, -1)
     alive = set(range(n))
     level = 0
     while alive:
-        front = [i for i in alive
-                 if not any(relation(pop[j], pop[i]) for j in alive if j != i)]
+        # with every member feasible this is plain Pareto dominance
+        front = [i for i in alive if not any(
+            constrained_dominates(f[j], cv[j], f[i], cv[i]) for j in alive if j != i)]
         for i in front:
             rank[i] = level
             alive.discard(i)
@@ -84,8 +81,8 @@ def redecode_offspring(model: PopulationTransformer, parents: Population,
     computes them: the oracle for cached decoding in ``generate``."""
     encoded = model.encode_parents(parents, spec)
     frame = (encoded.obj_low, encoded.obj_span)
-    prefix = Population(offspring.members[:-1])
-    y = model.decode(model.embed(prefix, spec, frame=frame), encoded.memories)
+    y = model.decode(model.embed(offspring.x[:-1], offspring.f[:-1], spec, frame=frame),
+                     encoded.memories)
     return denormalize_decision(model.head_activations(y).data[:, :spec.d], spec)
 
 
@@ -101,7 +98,7 @@ def check_cached_decoding() -> bool:
                                    n_offspring=10)
         want = redecode_offspring(model, parents, offspring, problem.spec)
         if len(offspring) != budget or \
-                np.abs(offspring.decisions()[1:] - want).max() > 1e-12:
+                np.abs(offspring.x[1:] - want).max() > 1e-12:
             return False
     return True
 

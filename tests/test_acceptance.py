@@ -247,17 +247,15 @@ def test_c05_decoder_causality_exact():
         frame = (encoded.obj_low, encoded.obj_span)
 
         def predictions(tgt):
-            ctx = pf.Population(tgt.members[:-1])
-            y = model.decode(model.embed(ctx, problem.spec, frame=frame),
+            y = model.decode(model.embed(tgt.x[:-1], tgt.f[:-1], problem.spec, frame=frame),
                              encoded.memories)
             return model.head_activations(y).data
 
         base = predictions(targets)
         for j in range(2, len(targets)):
-            members = list(targets.members)
-            members[j] = problem.evaluate_solution(
-                np.clip(members[j].x + rng.uniform(0.05, 0.3, size=6), 0, 1))
-            pert = predictions(pf.Population(tuple(members)))
+            x = targets.x.copy()
+            x[j] = np.clip(x[j] + rng.uniform(0.05, 0.3, size=6), 0, 1)
+            pert = predictions(problem.evaluate_free(pf.Population(x)))
             ok &= bool(np.array_equal(base[:j - 1], pert[:j - 1]))
     elapsed = time.perf_counter() - start
     report("decoder causality exact under target perturbation",
@@ -300,7 +298,7 @@ def test_c07_nsga2_baseline_sanity():
     igds = []
     for seed in range(10):
         result = pf.run_nsga2(prob, 100, 25_000, seed=seed)
-        igds.append(pf.igd(front, result.population.objectives()).value)
+        igds.append(pf.igd(front, result.population.f).value)
     median = float(np.median(igds))
     elapsed = time.perf_counter() - start
     report("classic NSGA-II baseline quality on zdt1 d=30",
@@ -330,8 +328,8 @@ def test_c09_pretraining_direction_of_effect(shift_training):
         target = problem.target_population(parents)
         result = model.generate(parents, problem, pf.EvaluationBudget(100), rng,
                                 n_offspring=12)
-        off = result.decisions()
-        tgt = target.decisions()
+        off = result.x
+        tgt = target.x
         d2 = ((off[:, None, :] - tgt[None, :, :]) ** 2).sum(axis=2)
         return float(d2.min(axis=1).mean())
 
@@ -356,9 +354,9 @@ def test_c10_end_to_end_small_benchmark(zdt_trained_model):
     for seed in range(20):
         model = load_checkpoint(zdt_trained_model["path"])  # fresh copy per run
         run = pf.run_nsga2_model(prob, model, 100, 1000, seed=seed)
-        model_igds.append(pf.igd(front, run.population.objectives()).value)
+        model_igds.append(pf.igd(front, run.population.f).value)
         baseline = pf.run_random_search(prob, 100, 1000, seed=10_000 + seed)
-        random_igds.append(pf.igd(front, baseline.population.objectives()).value)
+        random_igds.append(pf.igd(front, baseline.population.f).value)
     res = pf.wilcoxon_rank_sum(model_igds, random_igds)
     med_model = float(np.median(model_igds))
     med_random = float(np.median(random_igds))

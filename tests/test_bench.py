@@ -1,10 +1,12 @@
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from popformer import bench
 from popformer.bench import (
     ArmSpec,
     ExperimentConfig,
@@ -62,6 +64,21 @@ class TestRunBenchmark:
         seq = run_benchmark(TINY)
         par = run_benchmark(TINY, workers=2)
         assert [(r.arm, r.seed, r.igd) for r in seq] == [(r.arm, r.seed, r.igd) for r in par]
+
+    def test_worker_crash_fails_only_unfinished_cells(self, monkeypatch):
+        # a forked worker that dies breaks the pool: its cell and every cell
+        # still pending become failed records naming the error, while cells
+        # that finished keep their results
+        seq = {(r.arm, r.seed): r.igd for r in run_benchmark(TINY)}
+        monkeypatch.setitem(bench.ARM_RUNNERS, "random", lambda *args: os._exit(3))
+        records = run_benchmark(TINY, workers=2)
+        assert len(records) == 6
+        for r in records:
+            if r.arm == "random" or r.status != "ok":
+                assert r.status == "failed" and "BrokenProcessPool" in r.error
+                assert math.isnan(r.igd)
+            else:
+                assert r.igd == seq[(r.arm, r.seed)]
 
     def test_failing_arm_yields_nan_convention(self):
         cfg = ExperimentConfig(

@@ -6,7 +6,6 @@ import pytest
 from popformer import (
     EvaluationBudget,
     Population,
-    Solution,
     constrained_dominates,
     denormalize_decision,
     dominates,
@@ -18,8 +17,8 @@ from popformer.core import Problem, ProblemSpec, aggregate_violation
 from popformer.errors import BudgetExhausted, ContractViolation, EvaluationError
 
 
-def sol(f, cv=0.0):
-    return Solution(x=np.zeros(2), f=np.asarray(f, dtype=float), cv=cv)
+def sol(f):
+    return np.asarray(f, dtype=float)
 
 
 class SquareProblem(Problem):
@@ -49,7 +48,7 @@ class TestDominance:
 
     def test_unevaluated_operand_rejected(self):
         with pytest.raises(ContractViolation):
-            dominates(Solution(x=np.zeros(2)), sol([1, 2]))
+            dominates(np.full(2, np.nan), sol([1, 2]))
 
     def test_properties_on_random_solutions(self):
         # irreflexive, antisymmetric, transitive
@@ -65,14 +64,14 @@ class TestDominance:
 
 class TestConstrainedDominance:
     def test_feasible_beats_infeasible_regardless_of_objectives(self):
-        assert constrained_dominates(sol([9, 9], cv=0.0), sol([1, 1], cv=0.5))
+        assert constrained_dominates(sol([9, 9]), 0.0, sol([1, 1]), 0.5)
 
     def test_smaller_violation_wins(self):
-        assert constrained_dominates(sol([9, 9], cv=0.2), sol([1, 1], cv=0.7))
+        assert constrained_dominates(sol([9, 9]), 0.2, sol([1, 1]), 0.7)
 
     def test_both_feasible_reduces_to_pareto(self):
-        assert constrained_dominates(sol([1, 2], cv=0.0), sol([1, 3], cv=0.0))
-        assert not constrained_dominates(sol([1, 3], cv=0.0), sol([1, 2], cv=0.0))
+        assert constrained_dominates(sol([1, 2]), 0.0, sol([1, 3]), 0.0)
+        assert not constrained_dominates(sol([1, 3]), 0.0, sol([1, 2]), 0.0)
 
     def test_aggregate_violation_rules(self):
         assert aggregate_violation(np.array([-1.0, -2.0])) == 0.0
@@ -125,8 +124,8 @@ class TestEvaluate:
             evaluate(pop, prob, budget)
         assert exc.value.performed == 50
         partial = exc.value.population
-        assert sum(s.evaluated for s in partial) == 50
-        assert [s.evaluated for s in partial] == [True] * 50 + [False] * 50
+        assert partial.evaluated.sum() == 50
+        assert list(partial.evaluated) == [True] * 50 + [False] * 50
         assert budget.used == 1000
 
     def test_zero_budget_signal_reports_zero(self):
@@ -141,7 +140,7 @@ class TestEvaluate:
     def test_empty_population_is_noop(self):
         prob = SquareProblem()
         budget = EvaluationBudget(10)
-        out = evaluate(Population(()), prob, budget)
+        out = evaluate(Population(np.empty((0, 3))), prob, budget)
         assert len(out) == 0 and budget.used == 0
 
     def test_already_evaluated_members_cost_nothing(self):
@@ -155,8 +154,8 @@ class TestEvaluate:
     def test_deterministic(self):
         prob = SquareProblem()
         pop = random_population(prob, 4, np.random.default_rng(1))
-        a = evaluate(pop, prob, EvaluationBudget(10)).objectives()
-        b = evaluate(pop, prob, EvaluationBudget(10)).objectives()
+        a = evaluate(pop, prob, EvaluationBudget(10)).f
+        b = evaluate(pop, prob, EvaluationBudget(10)).f
         assert np.array_equal(a, b)
 
     def test_nan_objective_is_hard_error_and_budget_released(self):
@@ -223,19 +222,23 @@ class TestBudget:
 class TestInvariants:
     def test_solution_fields_come_together(self):
         with pytest.raises(ContractViolation):
-            Solution(x=np.zeros(2), f=np.array([1.0, 2.0]))  # cv missing
+            Population(np.zeros((1, 2)), f=np.array([[1.0, 2.0]]))  # cv missing
         with pytest.raises(ContractViolation):
-            Solution(x=np.zeros(2), f=np.array([1.0, 2.0]), cv=-0.5)
+            Population(np.zeros((1, 2)), np.array([[1.0, 2.0]]), np.array([-0.5]))
+        with pytest.raises(ContractViolation):  # one row's objectives pending, its cv not
+            Population(np.zeros((2, 2)), np.array([[1.0, 2.0], [np.nan, np.nan]]),
+                       np.zeros(2))
 
     def test_nonfinite_decision_rejected(self):
         with pytest.raises(ContractViolation):
-            Solution(x=np.array([np.nan, 0.0]))
+            Population(np.array([[np.nan, 0.0]]))
 
     def test_population_rejects_mixed_dimensions(self):
         with pytest.raises(ContractViolation):
-            Population((Solution(x=np.zeros(2)), Solution(x=np.zeros(3))))
+            Population([np.zeros(2), np.zeros(3)])
 
     def test_solutions_are_immutable(self):
-        s = sol([1, 2])
-        with pytest.raises(Exception):
-            s.x[0] = 5.0
+        s = Population(np.zeros((1, 2)), np.array([[1.0, 2.0]]), np.zeros(1))
+        for arr in (s.x, s.f, s.cv):
+            with pytest.raises(Exception):
+                arr[0] = 5.0

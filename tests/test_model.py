@@ -5,7 +5,6 @@ from popformer import (
     EvaluationBudget,
     Population,
     ProblemSpec,
-    Solution,
     evaluate,
     make_problem,
     random_population,
@@ -31,10 +30,14 @@ from popformer.selftest import redecode_offspring
 TOY = ModelConfig(d_hat=8, m_hat=4, width=16, layers=2, heads=2, max_seq=12)
 
 
-def evaluated_pop(problem, n, seed=0):
+def evaluated(problem, xs, gen=0):
+    return evaluate(Population(xs, generation_index=gen), problem, EvaluationBudget(len(xs)))
+
+
+def evaluated_pop(problem, n, seed=0, gen=0):
     rng = np.random.default_rng(seed)
     xs = rng.uniform(problem.spec.lower, problem.spec.upper, (n, problem.spec.d))
-    return Population(tuple(problem.evaluate_solution(x) for x in xs))
+    return evaluated(problem, xs, gen)
 
 
 class TestConfig:
@@ -72,56 +75,59 @@ class TestEmbedding:
         self.problem = make_problem("shift", d=6, m=3)
 
     def test_zero_vector_embeds_to_zero_row(self):
-        # normalized zeros + zero padding -> zero projection
-        pop = Population((Solution(x=np.zeros(6), f=np.array([1.0, 2.0, 3.0]), cv=0.0),
-                          Solution(x=np.full(6, 0.5), f=np.array([3.0, 2.0, 1.0]), cv=0.0)))
-        rows = self.model.embed_decisions(pop, self.problem.spec).data
+        # normalized zeros + zero padding -> zero projection, for the decisions
+        # and for objectives at the frame's low
+        x = np.array([np.zeros(6), np.full(6, 0.5)])
+        f = np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
+        frame = (f[0], np.ones(3))
+        rows = self.model.embed(x, f, self.problem.spec, frame=frame).data
         assert np.array_equal(rows[0], np.zeros(TOY.width))
         assert not np.array_equal(rows[1], np.zeros(TOY.width))
 
     def test_output_shape(self):
         pop = evaluated_pop(self.problem, 5)
-        assert self.model.embed(pop, self.problem.spec).shape == (5, TOY.width)
+        assert self.model.embed(pop.x, pop.f, self.problem.spec).shape == (5, TOY.width)
 
     def test_identical_solutions_identical_rows(self):
-        s = self.problem.evaluate_solution(np.full(6, 0.25))
-        pop = Population((s, s, s))
-        rows = self.model.embed(pop, self.problem.spec).data
+        pop = evaluated(self.problem, np.full((3, 6), 0.25))
+        rows = self.model.embed(pop.x, pop.f, self.problem.spec).data
         assert np.array_equal(rows[0], rows[1]) and np.array_equal(rows[1], rows[2])
 
     def test_equal_objectives_normalize_to_half(self):
-        s = self.problem.evaluate_solution(np.full(6, 0.25))
-        pop = Population((s, s))
-        rows = self.model.embed_objectives(pop).data
+        pop = evaluated(self.problem, np.zeros((2, 6)))  # zero decisions embed to zero
+        rows = self.model.embed(pop.x, pop.f, self.problem.spec).data
         # all-equal objectives -> all rows are 0.5 * (sum of first m embedding rows)
         want = 0.5 * self.model.e_obj.data[:3].sum(axis=0)
         assert np.allclose(rows, want)
 
     def test_sum_decomposition(self):
         pop = evaluated_pop(self.problem, 4)
-        z = self.model.embed(pop, self.problem.spec).data
-        d0 = self.model.embed_decisions(pop, self.problem.spec).data
-        o0 = self.model.embed_objectives(pop).data
-        assert np.allclose(z, d0 + o0)
+        z = self.model.embed(pop.x, pop.f, self.problem.spec).data
+        d0 = np.zeros((4, TOY.d_hat))
+        d0[:, :6] = pop.x  # the shift family lives in the unit box
+        o0 = np.zeros((4, TOY.m_hat))
+        o0[:, :3] = (pop.f - pop.f.min(axis=0)) / (pop.f.max(axis=0) - pop.f.min(axis=0))
+        assert np.allclose(z, d0 @ self.model.e_dim.data + o0 @ self.model.e_obj.data)
 
     def test_permutation_equivariance(self):
         pop = evaluated_pop(self.problem, 5)
-        z = self.model.embed(pop, self.problem.spec).data
+        z = self.model.embed(pop.x, pop.f, self.problem.spec).data
         perm = [3, 1, 4, 0, 2]
         # per-generation objective normalization is permutation invariant
-        permuted = Population(tuple(pop.members[i] for i in perm))
-        zp = self.model.embed(permuted, self.problem.spec).data
+        zp = self.model.embed(pop.x[perm], pop.f[perm], self.problem.spec).data
         assert np.allclose(zp, z[perm])
 
     def test_capacity_errors(self):
-        big_d = make_problem("shift", d=TOY.d_hat + 1, m=2)
+        def embed(problem, n):
+            pop = evaluated_pop(problem, n)
+            return self.model.embed(pop.x, pop.f, problem.spec)
+
         with pytest.raises(CapacityError):
-            self.model.embed(evaluated_pop(big_d, 2), big_d.spec)
-        wide_m = make_problem("shift", d=4, m=TOY.m_hat + 1)
+            embed(make_problem("shift", d=TOY.d_hat + 1, m=2), 2)
         with pytest.raises(CapacityError):
-            self.model.embed(evaluated_pop(wide_m, 2), wide_m.spec)
+            embed(make_problem("shift", d=4, m=TOY.m_hat + 1), 2)
         with pytest.raises(CapacityError):
-            self.model.embed(evaluated_pop(self.problem, TOY.max_seq + 1), self.problem.spec)
+            embed(self.problem, TOY.max_seq + 1)
 
 
 class TestEncoder:
@@ -134,26 +140,29 @@ class TestEncoder:
                 p.data = np.ones_like(p.data)
         # zero attention/MLP weights leave only the residual paths
         problem = make_problem("shift", d=6, m=3)
-        z = model.embed(evaluated_pop(problem, 4), problem.spec)
-        out = model.encode(z)
+        pop = evaluated_pop(problem, 4)
+        z = model.embed(pop.x, pop.f, problem.spec)
+        out = model.encode_layers(z)[-1]
         assert np.allclose(out.data, z.data)
 
     def test_every_row_influences_every_output(self):
         model = PopulationTransformer(TOY, seed=1)
         problem = make_problem("shift", d=6, m=3)
         pop = evaluated_pop(problem, 5)
-        base = model.encode(model.embed(pop, problem.spec)).data
+        base = model.encode_layers(model.embed(pop.x, pop.f, problem.spec))[-1].data
         for j in range(5):
-            members = list(pop.members)
-            members[j] = problem.evaluate_solution(np.full(6, 0.987))
-            z = model.embed(Population(tuple(members)), problem.spec)
-            pert = model.encode(z).data
+            x = pop.x.copy()
+            x[j] = 0.987
+            other = evaluated(problem, x)
+            z = model.embed(other.x, other.f, problem.spec)
+            pert = model.encode_layers(z)[-1].data
             assert not np.allclose(pert, base)  # no causal mask in the encoder
 
     def test_layer_outputs_length(self):
         model = PopulationTransformer(TOY, seed=0)
         problem = make_problem("shift", d=6, m=3)
-        outs = model.encode_layers(model.embed(evaluated_pop(problem, 3), problem.spec))
+        pop = evaluated_pop(problem, 3)
+        outs = model.encode_layers(model.embed(pop.x, pop.f, problem.spec))
         assert len(outs) == TOY.layers
 
 
@@ -165,9 +174,10 @@ class TestDecoding:
         self.encoded = self.model.encode_parents(self.parents, self.problem.spec)
 
     def test_output_length_and_bounds(self):
-        ctx = evaluated_pop(self.problem, 3, seed=5)
-        x = self.model.decode_step(ctx, self.encoded, self.problem.spec)
-        assert x.shape == (6,)
+        offspring = self.model.generate(self.parents, self.problem, EvaluationBudget(4),
+                                        np.random.default_rng(5), n_offspring=4)
+        x = offspring.x
+        assert x.shape == (4, 6)
         assert np.all(x >= self.problem.spec.lower) and np.all(x <= self.problem.spec.upper)
 
     def test_appending_context_does_not_change_earlier_positions(self):
@@ -175,23 +185,19 @@ class TestDecoding:
         spec = self.problem.spec
         frame = (self.encoded.obj_low, self.encoded.obj_span)
         y_small = self.model.decode(
-            self.model.embed(ctx, spec, frame=frame), self.encoded.memories)
-        extra = self.problem.evaluate_solution(
-            np.random.default_rng(8).uniform(spec.lower, spec.upper))
-        bigger = Population(ctx.members + (extra,))
+            self.model.embed(ctx.x, ctx.f, spec, frame=frame), self.encoded.memories)
+        extra = evaluated(self.problem,
+                          np.random.default_rng(8).uniform(spec.lower, spec.upper, (1, 6)))
+        bigger = ctx.concat(extra)
         y_big = self.model.decode(
-            self.model.embed(bigger, spec, frame=frame), self.encoded.memories)
+            self.model.embed(bigger.x, bigger.f, spec, frame=frame), self.encoded.memories)
         assert np.array_equal(y_big.data[: len(ctx)], y_small.data)
 
     def test_deterministic(self):
-        ctx = evaluated_pop(self.problem, 3, seed=7)
-        a = self.model.decode_step(ctx, self.encoded, self.problem.spec)
-        b = self.model.decode_step(ctx, self.encoded, self.problem.spec)
+        a, b = (self.model.generate(self.parents, self.problem, EvaluationBudget(4),
+                                    np.random.default_rng(7), n_offspring=4).x
+                for _ in range(2))
         assert np.array_equal(a, b)
-
-    def test_decode_rejects_empty_context(self):
-        with pytest.raises(DataError):
-            self.model.decode_step(Population(()), self.encoded, self.problem.spec)
 
 
 class TestGenerate:
@@ -226,7 +232,7 @@ class TestGenerate:
         result = self.model.generate(self.parents, self.problem, budget,
                                      np.random.default_rng(1), n_offspring=8)
         assert result.all_evaluated
-        xs = result.decisions()
+        xs = result.x
         assert np.all(xs >= self.problem.spec.lower) and np.all(xs <= self.problem.spec.upper)
 
     def test_reproducible_under_seed(self):
@@ -234,7 +240,7 @@ class TestGenerate:
                                 np.random.default_rng(9), n_offspring=6)
         b = self.model.generate(self.parents, self.problem, EvaluationBudget(20),
                                 np.random.default_rng(9), n_offspring=6)
-        assert np.array_equal(a.decisions(), b.decisions())
+        assert np.array_equal(a.x, b.x)
 
 
 class TestCachedDecoding:
@@ -258,13 +264,13 @@ class TestCachedDecoding:
                                    np.random.default_rng(layers), n_offspring=10)
         assert len(offspring) == min(budget, 10)
         want = redecode_offspring(model, parents, offspring, problem.spec)
-        assert np.abs(offspring.decisions()[1:] - want).max() <= 1e-12
+        assert np.abs(offspring.x[1:] - want).max() <= 1e-12
 
     def test_non_finite_output_names_generation_and_step(self):
         model = PopulationTransformer(TOY, seed=3)
         model.head.b.data[0] = np.nan
         problem = make_problem("zdt1", d=6)
-        parents = Population(evaluated_pop(problem, 8).members, 4)
+        parents = evaluated_pop(problem, 8, gen=4)
         budget = EvaluationBudget(20)
         with pytest.raises(ModelOutputError, match="generation 5, decode step 1") as exc:
             model.generate(parents, problem, budget, np.random.default_rng(0))
@@ -315,16 +321,15 @@ class TestTeacherForcing:
         frame = (encoded.obj_low, encoded.obj_span)
 
         def predictions(targets):
-            ctx = Population(targets.members[:-1])
-            y = model.decode(model.embed(ctx, spec, frame=frame), encoded.memories)
+            y = model.decode(model.embed(targets.x[:-1], targets.f[:-1], spec, frame=frame),
+                             encoded.memories)
             return model.head_activations(y).data
 
         base = predictions(self.targets)
         for j in range(2, len(self.targets)):
-            members = list(self.targets.members)
-            members[j] = self.problem.evaluate_solution(
-                np.clip(members[j].x + 0.31, 0, 1))
-            pert = predictions(Population(tuple(members)))
+            x = self.targets.x.copy()
+            x[j] = np.clip(x[j] + 0.31, 0, 1)
+            pert = predictions(evaluated(self.problem, x))
             # outputs at positions strictly before j are bitwise unchanged
             assert np.array_equal(base[:j - 1], pert[:j - 1])
 
@@ -335,7 +340,7 @@ class TestTeacherForcing:
             teacher_forced_loss(self.model, self.parents, bad, self.problem.spec)
 
     def test_target_too_short_rejected(self):
-        single = Population(self.targets.members[:1])
+        single = self.targets.take([0])
         with pytest.raises(DataError):
             teacher_forced_loss(self.model, self.parents, single, self.problem.spec)
 

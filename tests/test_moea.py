@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from popformer import (
+    EvaluationBudget,
     ModelConfig,
     Population,
     PopulationTransformer,
-    Solution,
     VariationConfig,
     crowding_distance,
     cso_step,
+    evaluate,
     fast_nondominated_sort,
     igd,
     make_problem,
@@ -29,9 +32,11 @@ from popformer.selftest import brute_force_ranks
 def make_pop(objs, cvs=None):
     objs = np.asarray(objs, dtype=float)
     cvs = np.zeros(len(objs)) if cvs is None else np.asarray(cvs, dtype=float)
-    return Population(tuple(
-        Solution(x=np.zeros(2), f=f, cv=c) for f, c in zip(objs, cvs)
-    ))
+    return Population(np.zeros((len(objs), 2)), objs, cvs)
+
+
+def evaluated(problem, xs):
+    return evaluate(Population(xs), problem, EvaluationBudget(len(xs)))
 
 
 class TestSort:
@@ -63,7 +68,7 @@ class TestSort:
             assert np.array_equal(fast_nondominated_sort(pop).rank, brute_force_ranks(pop))
 
     def test_unevaluated_member_rejected(self):
-        pop = Population((Solution(x=np.zeros(2)),))
+        pop = Population(np.zeros((1, 2)))
         with pytest.raises(ContractViolation):
             fast_nondominated_sort(pop)
 
@@ -90,16 +95,16 @@ class TestCrowding:
 class TestSelect:
     def test_identity_when_n_equals_size(self):
         pop = make_pop([[1, 2], [2, 1], [0, 3], [3, 0]])
-        out = nsga2_select(pop, 4)
-        assert {tuple(s.f) for s in out} == {tuple(s.f) for s in pop}
+        out = pop.take(nsga2_select(pop, 4))
+        assert {tuple(f) for f in out.f} == {tuple(f) for f in pop.f}
 
     def test_two_front_split_takes_extreme_crowding(self):
         # F1 = three mutually nondominated, F2 = three dominated copies shifted
         objs = [[0.0, 1.0], [0.5, 0.5], [1.0, 0.0],
                 [2.0, 3.0], [2.5, 2.5], [3.0, 2.0]]
         pop = make_pop(objs)
-        out = nsga2_select(pop, 4)
-        fs = [tuple(s.f) for s in out]
+        out = pop.take(nsga2_select(pop, 4))
+        fs = [tuple(f) for f in out.f]
         assert set(fs[:3]) == {(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)}
         # fourth pick is a boundary (infinite-crowding) member of F2 with lowest index
         assert fs[3] == (2.0, 3.0)
@@ -107,8 +112,8 @@ class TestSelect:
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         pop = make_pop(rng.random((20, 2)))
-        a = [tuple(s.f) for s in nsga2_select(pop, 7)]
-        b = [tuple(s.f) for s in nsga2_select(pop, 7)]
+        a = [tuple(f) for f in pop.take(nsga2_select(pop, 7)).f]
+        b = [tuple(f) for f in pop.take(nsga2_select(pop, 7)).f]
         assert a == b
 
     def test_size_subset_and_rank_prefix_properties(self):
@@ -119,17 +124,41 @@ class TestSelect:
             n = int(rng.integers(1, n_pop + 1))
             out = nsga2_select(pop, n)
             assert len(out) == n
-            ids_in = {id(s) for s in pop}
-            assert all(id(s) in ids_in for s in out)
+            assert len(set(out)) == n and all(0 <= i < n_pop for i in out)
             # every selected rank-k member implies all rank-(k-1) members selected
             rank = fast_nondominated_sort(pop).rank
-            by_id = {id(s): rank[i] for i, s in enumerate(pop.members)}
-            selected_ranks = [by_id[id(s)] for s in out]
+            selected_ranks = list(rank[out])
             if selected_ranks:
                 worst = max(selected_ranks)
                 for r in range(worst):
                     total_r = int(np.sum(rank == r))
                     assert selected_ranks.count(r) == total_r
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_whole_fronts_then_crowding_then_index(self, data):
+        n_pop = data.draw(st.integers(1, 16), label="n_pop")
+        m = data.draw(st.integers(2, 3), label="m")
+        objs = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 3), min_size=m, max_size=m),
+            min_size=n_pop, max_size=n_pop), label="objs"), dtype=float)
+        cvs = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0]),
+                                          min_size=n_pop, max_size=n_pop), label="cvs"))
+        n = data.draw(st.integers(1, n_pop), label="n")
+        pop = make_pop(objs, cvs)
+        out = nsga2_select(pop, n)
+        rank = brute_force_ranks(pop)
+        crowd = np.zeros(n_pop)
+        for r in set(rank):
+            idx = np.flatnonzero(rank == r)
+            crowd[idx] = crowding_distance(objs[idx])
+        assert len(set(out)) == n
+        # whole fronts in rank order: every better-ranked member is kept
+        assert np.all(np.diff(rank[out]) >= 0)
+        assert set(np.flatnonzero(rank < rank[out].max())) <= set(out)
+        # within a front, by crowding descending and then by index
+        key = [(rank[i], -crowd[i], i) for i in range(n_pop)]
+        assert [key[i] for i in out] == sorted(key)[:n]
 
     def test_rejects_oversized_request(self):
         with pytest.raises(ContractViolation):
@@ -208,47 +237,41 @@ class TestVariation:
 class TestCso:
     def test_identical_population_unchanged(self):
         prob = make_problem("zdt1", d=6)
-        sol = prob.evaluate_solution(np.full(6, 0.5))
-        pop = Population((sol,) * 6)
+        pop = evaluated(prob, np.full((6, 6), 0.5))
         out = cso_step(pop, np.random.default_rng(0), prob)
-        assert np.array_equal(out.decisions(), pop.decisions())
+        assert np.array_equal(out.x, pop.x)
 
     def test_reproducible(self):
         prob = make_problem("zdt1", d=6)
         rng = np.random.default_rng(1)
-        pop = Population(tuple(
-            prob.evaluate_solution(x) for x in rng.random((8, 6))
-        ))
-        a = cso_step(pop, np.random.default_rng(2), prob).decisions()
-        b = cso_step(pop, np.random.default_rng(2), prob).decisions()
+        pop = evaluated(prob, rng.random((8, 6)))
+        a = cso_step(pop, np.random.default_rng(2), prob).x
+        b = cso_step(pop, np.random.default_rng(2), prob).x
         assert np.array_equal(a, b)
 
     def test_winners_keep_evaluations_losers_reset(self):
         prob = make_problem("zdt1", d=6)
         rng = np.random.default_rng(3)
-        pop = Population(tuple(prob.evaluate_solution(x) for x in rng.random((8, 6))))
+        pop = evaluated(prob, rng.random((8, 6)))
         out = cso_step(pop, np.random.default_rng(4), prob)
-        n_eval = sum(s.evaluated for s in out)
+        n_eval = out.evaluated.sum()
         assert n_eval == 4  # half the pairs win
 
     def test_odd_member_passes_through(self):
         prob = make_problem("zdt1", d=6)
         rng = np.random.default_rng(5)
-        pop = Population(tuple(prob.evaluate_solution(x) for x in rng.random((5, 6))))
+        pop = evaluated(prob, rng.random((5, 6)))
         out = cso_step(pop, np.random.default_rng(6), prob)
-        assert sum(s.evaluated for s in out) == 3  # 2 winners + 1 leftover
+        assert out.evaluated.sum() == 3  # 2 winners + 1 leftover
 
     def test_improves_zdt1_over_fifty_generations(self):
         prob = make_problem("zdt1", d=100)
         front = prob.reference_front(500)
         rng = np.random.default_rng(0)
-        initial = Population(tuple(
-            prob.evaluate_solution(x)
-            for x in rng.uniform(prob.spec.lower, prob.spec.upper, (50, 100))
-        ))
-        start = igd(front, initial.objectives()).value
+        initial = evaluated(prob, rng.uniform(prob.spec.lower, prob.spec.upper, (50, 100)))
+        start = igd(front, initial.f).value
         result = run_cso(prob, 50, 50 + 50 * 25, seed=0)  # ~50 generations of 25 losers
-        end = igd(front, result.population.objectives()).value
+        end = igd(front, result.population.f).value
         assert end < start
 
 
@@ -278,8 +301,8 @@ class TestRunLoops:
         prob = make_problem("zdt2", d=8)
         a = run_nsga2(prob, 10, 100, seed=77)
         b = run_nsga2(prob, 10, 100, seed=77)
-        assert np.array_equal(a.population.decisions(), b.population.decisions())
-        assert np.array_equal(a.population.objectives(), b.population.objectives())
+        assert np.array_equal(a.population.x, b.population.x)
+        assert np.array_equal(a.population.f, b.population.f)
 
     def test_total_evaluations_exact_fuzzed(self):
         prob = make_problem("zdt1", d=6)
@@ -293,13 +316,10 @@ class TestRunLoops:
     def test_offspring_always_within_bounds(self):
         prob = make_problem("zdt4", d=6)  # asymmetric bounds
         rng = np.random.default_rng(2)
-        pop = Population(tuple(
-            prob.evaluate_solution(x)
-            for x in rng.uniform(prob.spec.lower, prob.spec.upper, (10, 6))
-        ))
+        pop = evaluated(prob, rng.uniform(prob.spec.lower, prob.spec.upper, (10, 6)))
         for seed in range(5):
             off = sbx_pm_offspring(pop, VariationConfig(), np.random.default_rng(seed), prob)
-            xs = off.decisions()
+            xs = off.x
             assert np.all(xs >= prob.spec.lower) and np.all(xs <= prob.spec.upper)
 
     def test_trajectory_sink_receives_consecutive_pairs(self):
@@ -313,7 +333,7 @@ class TestRunLoops:
             assert pair.size == 10
         # successor of pair k equals parent of pair k+1
         for p1, p2 in zip(sink.pairs, sink.pairs[1:]):
-            assert np.allclose(p1.x_g1.decisions(), p2.x_g.decisions())
+            assert np.allclose(p1.x_g1.x, p2.x_g.x)
 
     @pytest.mark.parametrize("runner", ["nsga2", "cso", "random", "learned"])
     @pytest.mark.parametrize("n_pop,evals", [(10, 60), (7, 50), (10, 10)])
@@ -331,6 +351,18 @@ class TestRunLoops:
         assert [e["evaluations"] for e in result.log] == list(np.cumsum(
             [e["offspring_evaluated"] for e in result.log]) + n_pop)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_budget_exact_for_any_size(self, data):
+        n_pop = data.draw(st.integers(2, 12), label="n_pop")
+        evals = data.draw(st.integers(n_pop, 60), label="evals")
+        runner = data.draw(st.sampled_from([run_nsga2, run_cso, run_random_search]),
+                           label="runner")
+        result = runner(make_problem("zdt1", d=4), n_pop, evals, seed=0)
+        assert result.evaluations == evals
+        assert n_pop + sum(e["offspring_evaluated"] for e in result.log) == evals
+        assert len(result.population) == n_pop
+
     def test_generator_that_consumes_nothing_is_rejected(self):
         prob = make_problem("zdt1", d=6)
         with pytest.raises(ContractViolation, match="consumed no evaluations"):
@@ -340,7 +372,7 @@ class TestRunLoops:
         prob = make_problem("zdt1", d=6)
         seen = []
 
-        def hook(parents, offspring):
+        def hook(parents, offspring, selected):
             seen.append((len(parents), len(offspring)))
             return {"offspring": len(offspring)}
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from popformer import (
+    EvaluationBudget,
     FinetuneConfig,
     ModelConfig,
     Population,
@@ -12,6 +13,7 @@ from popformer import (
     TrajectoryDataset,
     TrajectoryPair,
     collect_trajectories,
+    evaluate,
     finetune_step,
     make_problem,
     pipeline,
@@ -27,10 +29,19 @@ from popformer.moea import nsga2_select
 TOY = ModelConfig(d_hat=16, m_hat=4, width=16, layers=2, heads=2, max_seq=12)
 
 
+def evaluated(problem, xs, gen=0):
+    return evaluate(Population(xs, generation_index=gen), problem, EvaluationBudget(len(xs)))
+
+
 def evaluated_pop(problem, n, seed=0, gen=0):
     rng = np.random.default_rng(seed)
     xs = rng.uniform(problem.spec.lower, problem.spec.upper, (n, problem.spec.d))
-    return Population(tuple(problem.evaluate_solution(x) for x in xs), gen)
+    return evaluated(problem, xs, gen)
+
+
+def select(x_g, x_g1):
+    """nsga2_select over parents u offspring at the parent size."""
+    return nsga2_select(x_g.concat(x_g1), len(x_g))
 
 
 def shift_pairs(n_pairs, pop_size=6, d=6, seed=0):
@@ -104,8 +115,8 @@ class TestDataset:
         loaded = TrajectoryDataset.load(path)
         assert len(loaded.pairs) == 3
         for a, b in zip(pairs, loaded.pairs):
-            assert np.array_equal(a.x_g.decisions(), b.x_g.decisions())
-            assert np.array_equal(a.x_g1.objectives(), b.x_g1.objectives())
+            assert np.array_equal(a.x_g.x, b.x_g.x)
+            assert np.array_equal(a.x_g1.f, b.x_g1.f)
 
     def test_manifest_count_mismatch_rejected(self, tmp_path):
         _, pairs = shift_pairs(2)
@@ -143,11 +154,11 @@ class TestDataset:
         pop = evaluated_pop(problem, 4)
         with pytest.raises(DataError):
             TrajectoryPair.from_populations(problem.spec, pop,
-                                            Population(pop.members[:3]), "t", 0, 0)
-        raw = Population(tuple(s for s in pop.members))
+                                            pop.take(np.arange(3)), "t", 0, 0)
+        raw = pop.take(np.arange(4))
         pair = TrajectoryPair.from_populations(problem.spec, raw, raw, "t", 0, 0)
         assert pair.size == 4
-        assert np.all(pair.x_g.decisions() >= 0) and np.all(pair.x_g.decisions() <= 1)
+        assert np.all(pair.x_g.x >= 0) and np.all(pair.x_g.x <= 1)
 
 
 class TestPretrain:
@@ -225,7 +236,8 @@ class TestFinetune:
     def test_zero_steps_leaves_parameters_bitwise(self):
         before = self.snapshot()
         out = finetune_step(self.model, self.x_g, self.x_g1, self.problem,
-                            FinetuneConfig(steps_per_generation=0))
+                            FinetuneConfig(steps_per_generation=0),
+                            select(self.x_g, self.x_g1))
         assert out is None
         for a, b in zip(before, self.snapshot()):
             assert np.array_equal(a, b)
@@ -233,51 +245,40 @@ class TestFinetune:
     def test_disabled_leaves_parameters_bitwise(self):
         before = self.snapshot()
         finetune_step(self.model, self.x_g, self.x_g1, self.problem,
-                      FinetuneConfig(enabled=False))
+                      FinetuneConfig(enabled=False), select(self.x_g, self.x_g1))
         for a, b in zip(before, self.snapshot()):
             assert np.array_equal(a, b)
 
     def test_one_step_changes_parameters(self):
         before = self.snapshot()
         loss = finetune_step(self.model, self.x_g, self.x_g1, self.problem,
-                             FinetuneConfig())
+                             FinetuneConfig(), select(self.x_g, self.x_g1))
         assert loss is not None and np.isfinite(loss)
         assert any(not np.array_equal(a, b) for a, b in zip(before, self.snapshot()))
 
     def test_target_is_surviving_offspring(self):
-        union = Population(self.x_g.members + self.x_g1.members, 1)
-        fresh = {id(s) for s in self.x_g1.members}
-        kept = [s for s in nsga2_select(union, 6).members if id(s) in fresh]
+        selected = select(self.x_g, self.x_g1)
+        kept = [i - 6 for i in selected if i >= 6]
         assert 2 <= len(kept) < 6
         want = teacher_forced_loss(PopulationTransformer(TOY, seed=5), self.x_g,
-                                   Population(tuple(kept), 1), self.problem.spec)
-        got = finetune_step(self.model, self.x_g, self.x_g1, self.problem, FinetuneConfig())
+                                   self.x_g1.take(kept), self.problem.spec)
+        got = finetune_step(self.model, self.x_g, self.x_g1, self.problem, FinetuneConfig(),
+                            selected)
         assert got == want
-
-    def test_given_survivors_equal_own_selection(self):
-        twin = PopulationTransformer(TOY, seed=5)
-        survivors = nsga2_select(Population(self.x_g.members + self.x_g1.members), 6)
-        want = finetune_step(self.model, self.x_g, self.x_g1, self.problem, FinetuneConfig())
-        got = finetune_step(twin, self.x_g, self.x_g1, self.problem, FinetuneConfig(),
-                            survivors=survivors)
-        assert got == want
-        for a, b in zip(self.model.parameters(), twin.parameters()):
-            assert np.array_equal(a.data, b.data)
 
     def test_rejected_offspring_fall_back_to_survivors(self):
         # every offspring is dominated by every parent, so selection keeps the
         # parents and the update trains toward them
         problem = make_problem("zdt1", d=6)
         rng = np.random.default_rng(0)
-        parents = Population(tuple(
-            problem.evaluate_solution(np.r_[x0, np.zeros(5)])
-            for x0 in rng.uniform(0.1, 0.9, 6)), 0)
-        offspring = Population(tuple(
-            problem.evaluate_solution(np.ones(6)) for _ in range(6)), 1)
-        survivors = nsga2_select(Population(parents.members + offspring.members, 1), 6)
+        parents = evaluated(problem, np.c_[rng.uniform(0.1, 0.9, 6), np.zeros((6, 5))])
+        offspring = evaluated(problem, np.ones((6, 6)), gen=1)
+        selected = select(parents, offspring)
+        survivors = parents.concat(offspring).take(selected)
         want = teacher_forced_loss(PopulationTransformer(TOY, seed=5), parents,
                                    survivors, problem.spec)
-        got = finetune_step(self.model, parents, offspring, problem, FinetuneConfig())
+        got = finetune_step(self.model, parents, offspring, problem, FinetuneConfig(),
+                            selected)
         assert got == want
 
     def test_pretrain_optimizer_not_reused_at_equal_lr(self):
@@ -292,7 +293,8 @@ class TestFinetune:
         for src, dst in zip(trained.parameters(), twin.parameters()):
             dst.data = src.data.copy()
         for model in (trained, twin):
-            finetune_step(model, self.x_g, self.x_g1, self.problem, FinetuneConfig(lr=1e-4))
+            finetune_step(model, self.x_g, self.x_g1, self.problem, FinetuneConfig(lr=1e-4),
+                          select(self.x_g, self.x_g1))
         for a, b in zip(trained.parameters(), twin.parameters()):
             assert np.array_equal(a.data, b.data)
         assert trained.online_optimizer.weight_decay == 0.0
@@ -304,14 +306,13 @@ class TestFinetune:
             model = PopulationTransformer(TOY, seed=seed)
             x_g = evaluated_pop(self.problem, 6, seed=100 + seed, gen=0)
             x_g1 = evaluated_pop(self.problem, 6, seed=200 + seed, gen=1)
-            from popformer.moea import nsga2_select
-            union = Population(x_g.members + x_g1.members, 1)
-            target = nsga2_select(union, 6)
+            selected = select(x_g, x_g1)
+            target = x_g.concat(x_g1).take(selected)
             pair = TrajectoryPair.from_populations(self.problem.spec, x_g, target,
                                                    "t", seed, 0)
             before = teacher_forced_loss(model, pair.x_g, pair.x_g1, pair.unit_spec())
             model.zero_grad()
-            finetune_step(model, x_g, x_g1, self.problem, FinetuneConfig(lr=1e-4))
+            finetune_step(model, x_g, x_g1, self.problem, FinetuneConfig(lr=1e-4), selected)
             after = teacher_forced_loss(model, pair.x_g, pair.x_g1, pair.unit_spec())
             wins += after <= before
         assert wins >= 40
@@ -366,7 +367,7 @@ class TestModelRun:
         for _ in range(2):
             model = PopulationTransformer(TOY, seed=9)
             result = run_nsga2_model(problem, model, 8, 56, seed=11)
-            final.append(result.population.decisions())
+            final.append(result.population.x)
         assert np.array_equal(final[0], final[1])
 
     def test_reference_front_logging(self):
@@ -377,9 +378,8 @@ class TestModelRun:
         assert all(np.isfinite(e["igd"]) for e in result.log)
 
     def test_union_sorted_once_per_generation(self, monkeypatch):
-        # the online update and the logged IGD share one selection, so each
-        # generation sorts twice (that selection and the next parents), plus
-        # the final selection
+        # the online update, the logged IGD and the next parents share the
+        # loop's one selection per generation, plus the initial population's
         calls = []
         original = moea.fast_nondominated_sort
         monkeypatch.setattr(moea, "fast_nondominated_sort",
@@ -389,7 +389,7 @@ class TestModelRun:
         result = run_nsga2_model(problem, model, 8, 32, seed=0,
                                  reference_front=problem.reference_front(50))
         assert len(result.log) == 3
-        assert len(calls) == 2 * 3 + 1
+        assert len(calls) == 3 + 1
 
     def test_population_too_big_for_model(self):
         problem = make_problem("zdt1", d=8)
