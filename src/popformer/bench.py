@@ -3,6 +3,7 @@ medians, compare arms with the rank-sum test and emit CSV/JSON/text reports."""
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import json
 import math
@@ -160,6 +161,29 @@ def _run_cell(payload: dict) -> dict:
     return record
 
 
+def _openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS when it exports the scipy-openblas thread
+    setter, else None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            return lib
+    return None
+
+
+def _pin_blas_to_one_thread() -> None:
+    """Pool initializer: one BLAS thread per worker, so ``workers`` processes
+    do not each start a BLAS thread per core. Without the setter it does
+    nothing."""
+    lib = _openblas()
+    if lib is not None:
+        setter = lib.scipy_openblas_set_num_threads64_
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(1)
+
+
 def _pooled_result(future, payload: dict) -> dict:
     """A worker's record, or a failed one naming why the worker gave none."""
     try:
@@ -173,9 +197,10 @@ def run_benchmark(cfg: ExperimentConfig, workers: int = 1) -> list[RunRecord]:
     """Run every (arm x problem x seed) cell with derived seeds.
 
     Cells are keyed deterministically; with ``workers > 1`` they execute in a
-    process pool and merge back in key order. A cell whose worker raised or
-    died, which breaks the pool for every cell still pending, becomes a
-    ``failed`` record naming the error; finished cells keep their results.
+    process pool, each worker pinned to one BLAS thread, and merge back in
+    key order. A cell whose worker raised or died, which breaks the pool for
+    every cell still pending, becomes a ``failed`` record naming the error;
+    finished cells keep their results.
     """
     payloads = []
     for case in cfg.problems:
@@ -192,7 +217,8 @@ def run_benchmark(cfg: ExperimentConfig, workers: int = 1) -> list[RunRecord]:
                     "front_size": cfg.reference_front_size,
                 })
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_pin_blas_to_one_thread) as pool:
             futures = [pool.submit(_run_cell, p) for p in payloads]
             results = [_pooled_result(f, p) for f, p in zip(futures, payloads)]
     else:

@@ -137,11 +137,23 @@ class TrajectoryDataset:
 
     @classmethod
     def load(cls, path) -> "TrajectoryDataset":
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [(no, ln) for no, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()]
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        try:
+            text = blob.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = blob.count(b"\n", 0, exc.start) + 1
+            raise DataError(f"{path}: line {line}: invalid UTF-8: {exc.reason}") from exc
+        lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
         if not lines:
             raise DataError(f"{path}: empty dataset file")
-        manifest = json.loads(lines[0][1])
+        no, first = lines[0]
+        try:
+            manifest = json.loads(first)
+        except ValueError as exc:
+            raise DataError(f"{path}: line {no}: malformed manifest: {exc!r}") from exc
+        if not isinstance(manifest, dict):
+            raise DataError(f"{path}: line {no}: manifest is not a JSON object")
         if manifest.get("format") != DATASET_FORMAT:
             raise DataError(f"{path}: not a trajectory dataset (format={manifest.get('format')!r})")
         if manifest.get("version") != DATASET_VERSION:
@@ -158,7 +170,8 @@ class TrajectoryDataset:
                     x_g1=Population(rec["x_g1"], rec["f_g1"], np.zeros(len(rec["f_g1"])),
                                     gen + 1),
                 ))
-            except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                # bad JSON is a ValueError, an infinite integer field an OverflowError
                 raise DataError(f"{path}: line {no}: malformed record: {exc!r}") from exc
         if manifest.get("pair_count") != len(pairs):
             raise DataError(

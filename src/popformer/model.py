@@ -9,11 +9,12 @@ offspring, cross-attending layer-for-layer into the encoder outputs, and a
 linear head squashed through a logistic maps each position back into the
 unit box (denormalized to problem bounds).
 
-Training decodes a whole target sequence at once under a causal mask
-(:meth:`PopulationTransformer.decode`). Generation decodes one row per
-offspring through a :class:`DecoderCache`, which keeps every decoder layer's
-self-attention keys and values of the rows already decoded and the
-cross-attention keys and values over the fixed encoder memories. Both paths
+Training decodes whole target sequences at once under a causal mask
+(:meth:`PopulationTransformer.decode`), a stack of same-shape pairs per
+tape pass. Generation decodes one row per offspring through a
+:class:`DecoderCache`, which keeps every decoder layer's self-attention keys
+and values of the rows already decoded and the cross-attention keys and
+values over the fixed encoder memories. Both paths
 share the same attention code (``nn.layers.attend``), and the cached one is
 exact: with the parents' objective frame, a row's embedding never depends on
 later rows, so its cached keys and values are the ones a full re-decode of
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import json
 import struct
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -37,7 +39,6 @@ from .core import (
     denormalize_decision,
     normalize_decision,
 )
-from .dataset import minmax_normalize_objectives
 from .errors import (
     BudgetExhausted,
     CapacityError,
@@ -79,6 +80,7 @@ CHECKPOINT_MAGIC = b"PETM"
 CHECKPOINT_VERSION = 1
 
 HEAD_MODES = ("logistic", "softmax")
+CAPACITY_FIELDS = ("d_hat", "m_hat", "width", "layers", "heads", "max_seq")
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,10 @@ class ModelConfig:
     head_mode: str = "logistic"
 
     def __post_init__(self):
+        for name in CAPACITY_FIELDS:
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ConfigError(f"{name} must be an int, got {value!r}")
         if self.layers < 1:
             raise ConfigError("layers must be >= 1")
         if self.width % self.heads != 0:
@@ -128,6 +134,8 @@ class ModelConfig:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"bad model config JSON: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ConfigError(f"model config must be a JSON object, got {type(payload).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(payload) - known
         if unknown:
@@ -277,12 +285,15 @@ class PopulationTransformer:
         zero-padded to d_hat, plus the min-max normalized objectives ``f``
         padded to m_hat, each projected to model width.
 
-        Without a frame the rows normalize against their own per-column
-        min-max (zero ranges map to 0.5). With a frame (a parent generation's
-        low/span) values normalize against that frame and are clipped to a
-        generous window so outlier offspring cannot blow up activations.
+        ``x`` and ``f`` are (..., n, d) and (..., n, m); leading axes stack
+        sequences, each normalized on its own. Without a frame the rows
+        normalize against their own per-column min-max (zero ranges map to
+        0.5). With a frame (a parent generation's low/span, each (..., m))
+        values normalize against that frame and are clipped to a generous
+        window so outlier offspring cannot blow up activations.
         """
-        (n, m), cfg = f.shape, self.config
+        *lead, n, m = f.shape
+        cfg = self.config
         if spec.d > cfg.d_hat:
             raise CapacityError(f"decision dimension {spec.d} exceeds capacity {cfg.d_hat}")
         if m > cfg.m_hat:
@@ -290,17 +301,18 @@ class PopulationTransformer:
         if n > cfg.max_seq:
             raise CapacityError(f"population size {n} exceeds capacity {cfg.max_seq}")
         if frame is None:
-            normed = minmax_normalize_objectives(f)
+            low = f.min(axis=-2, keepdims=True)
+            span = f.max(axis=-2, keepdims=True) - low
         else:
-            low, span = frame
-            normed = np.full_like(f, 0.5)
-            ok = span > 0
-            normed[:, ok] = (f[:, ok] - low[ok]) / span[ok]
+            low, span = frame[0][..., None, :], frame[1][..., None, :]
+        ok = span > 0
+        normed = np.where(ok, (f - low) / np.where(ok, span, 1.0), 0.5)
+        if frame is not None:
             normed = np.clip(normed, -1.0, 2.0)
-        decisions = np.zeros((n, cfg.d_hat))
-        decisions[:, :spec.d] = normalize_decision(x, spec)
-        objectives = np.zeros((n, cfg.m_hat))
-        objectives[:, :m] = normed
+        decisions = np.zeros((*lead, n, cfg.d_hat))
+        decisions[..., :spec.d] = normalize_decision(x, spec)
+        objectives = np.zeros((*lead, n, cfg.m_hat))
+        objectives[..., :m] = normed
         return matmul(const(decisions), self.e_dim) + matmul(const(objectives), self.e_obj)
 
     # -- encoder / decoder --------------------------------------------------
@@ -336,7 +348,7 @@ class PopulationTransformer:
             raise ConfigError(
                 f"need one encoder memory per decoder layer ({len(self.decoder)}), got {len(memories)}"
             )
-        mask = causal_mask(y.shape[0])
+        mask = causal_mask(y.shape[-2])
         heads = self.config.heads
         for blk, memory in zip(self.decoder, memories):
             normed = layer_norm(y, blk.ln_self)
@@ -441,40 +453,54 @@ class PopulationTransformer:
 
     # -- training -----------------------------------------------------------
 
-    def forced_loss(self, parents: Population, targets: Population,
+    def forced_loss(self, pairs: Sequence[tuple[Population, Population]],
                     spec: ProblemSpec) -> Tensor:
-        """Scalar MSE of the decoder's next-solution predictions.
+        """Sum over (parents, targets) pairs of the scalar MSE of the
+        decoder's next-solution predictions, in one stacked pass.
 
-        The decoder consumes the target sequence without its last element (its
-        first element plays the initialization-token role, matching
-        generation); position k predicts target k+1. Only the first d head
-        outputs enter the loss; padded components are masked away.
+        The pairs share one shape, and each is encoded on its own, with its
+        decoder context in its own parents' objective frame. The decoder
+        consumes the target sequence without its last element (its first
+        element plays the initialization-token role, matching generation);
+        position k predicts target k+1. Only the first d head outputs enter
+        the loss; padded components are masked away.
         """
-        if len(targets) < 2:
-            raise DataError("teacher forcing needs a target population of size >= 2")
-        if not (parents.all_evaluated and targets.all_evaluated):
+        if not pairs:
+            raise DataError("teacher forcing needs at least one pair")
+        parents, targets = zip(*pairs)
+        if not all(pop.all_evaluated for pop in parents + targets):
             raise DataError("teacher forcing requires evaluated populations")
-        if parents.x.shape[1] != targets.x.shape[1] or parents.f.shape[1] != targets.f.shape[1]:
+        shapes = {(p.x.shape, p.f.shape, t.x.shape, t.f.shape) for p, t in pairs}
+        if len(shapes) > 1:
+            raise DataError(f"stacked pairs disagree in shape: {sorted(shapes)}")
+        (_, d), (_, m), (size, d_t), (_, m_t) = next(iter(shapes))
+        if size < 2:
+            raise DataError("teacher forcing needs a target population of size >= 2")
+        if d != d_t or m != m_t:
             raise DataError("parent and target populations disagree in (d, m)")
-        encoded = self.encode_parents(parents, spec)
-        frame = (encoded.obj_low, encoded.obj_span)
-        y = self.decode(self.embed(targets.x[:-1], targets.f[:-1], spec, frame=frame),
-                        encoded.memories)
-        pred = self.head_activations(y)  # (T-1, d_hat)
-        goal = np.zeros((len(targets) - 1, self.config.d_hat))
-        goal[:, :spec.d] = normalize_decision(targets.x[1:], spec)
+        parents_x, parents_f = np.stack([p.x for p in parents]), np.stack([p.f for p in parents])
+        targets_x, targets_f = np.stack([t.x for t in targets]), np.stack([t.f for t in targets])
+        low = parents_f.min(axis=-2)
+        frame = (low, parents_f.max(axis=-2) - low)
+        y = self.decode(self.embed(targets_x[:, :-1], targets_f[:, :-1], spec, frame=frame),
+                        self.encode_layers(self.embed(parents_x, parents_f, spec)))
+        pred = self.head_activations(y)  # (pairs, size - 1, d_hat)
+        goal = np.zeros(pred.shape)
+        goal[..., :spec.d] = normalize_decision(targets_x[:, 1:], spec)
         mask = np.zeros(self.config.d_hat)
         mask[:spec.d] = 1.0
         diff = sub(pred, const(goal))
         masked_sq = mul(mul(diff, diff), const(mask))
-        return scale(sum_all(masked_sq), 1.0 / ((len(targets) - 1) * spec.d))
+        return scale(sum_all(masked_sq), 1.0 / ((size - 1) * spec.d))
 
 
-def teacher_forced_loss(model: PopulationTransformer, parents: Population,
-                        targets: Population, spec: ProblemSpec) -> float:
-    """Run one forward/backward pass; gradients accumulate on the model."""
+def teacher_forced_loss(model: PopulationTransformer,
+                        pairs: Sequence[tuple[Population, Population]],
+                        spec: ProblemSpec) -> float:
+    """Run one stacked forward/backward pass over ``pairs``; gradients of
+    the summed loss accumulate on the model. Returns that sum."""
     with Tape() as tape:
-        loss = model.forced_loss(parents, targets, spec)
+        loss = model.forced_loss(pairs, spec)
     tape.backward(loss)
     return loss.item()
 
@@ -519,7 +545,10 @@ def load_checkpoint(path, expect_config: ModelConfig | None = None) -> Populatio
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     (cfg_len,) = struct.unpack("<I", take(4, "config length"))
-    config = ModelConfig.from_json(bytes(take(cfg_len, "config")).decode("utf-8"))
+    try:
+        config = ModelConfig.from_json(bytes(take(cfg_len, "config")).decode("utf-8"))
+    except (UnicodeDecodeError, ConfigError) as exc:
+        raise CheckpointError(f"{path}: bad model config: {exc}") from exc
     if expect_config is not None and config != expect_config:
         raise CheckpointError(f"{path}: checkpoint config differs from the requested config")
     model = PopulationTransformer(config, seed=0)

@@ -28,19 +28,19 @@ from .tensor import (
     matmul,
     mean_all,
     mul,
-    permute,
     relu,
     reshape,
     scale,
     softmax,
     sub,
     sum_all,
+    swapaxes,
 )
 
 __all__ = [
     "Adam", "AttentionParams", "LinearParams", "MlpParams", "NormParams", "Tape", "Tensor",
     "add", "attend", "attention_params", "causal_mask", "const", "gradient_check",
     "layer_norm", "linear", "logistic", "matmul", "mean_all", "merge_heads", "mlp_block",
-    "mlp_params", "mul", "multi_head_attention", "norm_params", "permute", "relu",
-    "reshape", "scale", "softmax", "split_heads", "sub", "sum_all", "uniform_linear",
+    "mlp_params", "mul", "multi_head_attention", "norm_params", "relu", "reshape",
+    "scale", "softmax", "split_heads", "sub", "sum_all", "swapaxes", "uniform_linear",
 ]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, ShapeError
-from .tensor import Tensor, add, matmul, mul, permute, relu, reshape, scale, softmax
+from .tensor import Tensor, add, matmul, mul, relu, reshape, scale, softmax, swapaxes
 from .tensor import layer_norm as _layer_norm
 
 
@@ -87,25 +87,25 @@ def causal_mask(n: int) -> np.ndarray:
 
 
 def split_heads(t: Tensor, heads: int) -> Tensor:
-    """(s, D) rows to (heads, s, D/heads) per-head slices."""
-    s, width = t.shape
-    return permute(reshape(t, (s, heads, width // heads)), (1, 0, 2))
+    """(..., s, D) rows to (..., heads, s, D/heads) per-head slices."""
+    return swapaxes(reshape(t, t.shape[:-1] + (heads, t.shape[-1] // heads)), -3, -2)
 
 
 def merge_heads(t: Tensor) -> Tensor:
-    """Inverse of :func:`split_heads`: (heads, s, dk) to (s, heads * dk)."""
-    heads, s, dk = t.shape
-    return reshape(permute(t, (1, 0, 2)), (s, heads * dk))
+    """Inverse of :func:`split_heads`: (..., heads, s, dk) to (..., s, heads * dk)."""
+    *outer, heads, s, dk = t.shape
+    return reshape(swapaxes(t, -3, -2), (*outer, s, heads * dk))
 
 
 def attend(qh: Tensor, kh: Tensor, vh: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Scaled dot-product attention over per-head (H, s, dk) slices.
+    """Scaled dot-product attention over per-head (..., H, s, dk) slices.
 
-    Scores are scaled by 1/sqrt(dk); mask (broadcastable to (H, sq, sk),
-    True = attend) hides positions before normalization. Returns (H, sq, dk).
+    Scores are scaled by 1/sqrt(dk); mask (broadcastable to (..., H, sq, sk),
+    True = attend) hides positions before normalization. Returns
+    (..., H, sq, dk).
     """
     dk = qh.shape[-1]
-    scores = scale(matmul(qh, permute(kh, (0, 2, 1))), 1.0 / math.sqrt(dk))  # (H, sq, sk)
+    scores = scale(matmul(qh, swapaxes(kh, -1, -2)), 1.0 / math.sqrt(dk))  # (..., H, sq, sk)
     return matmul(softmax(scores, mask=mask), vh)
 
 
@@ -113,16 +113,16 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, p: AttentionParams,
                          heads: int, mask: np.ndarray | None = None) -> Tensor:
     """Scaled dot-product attention with per-head projections.
 
-    q is (sq, D); k and v are (sk, D). Queries, keys and values are projected
-    and split into D/heads-wide heads, mixed by :func:`attend`, merged and
-    projected out; mask (broadcastable to (sq, sk), True = attend) hides
-    positions before normalization.
+    q is (..., sq, D); k and v are (..., sk, D) with the same leading axes,
+    so a stack of sequences attends each within itself. Queries, keys and
+    values are projected and split into D/heads-wide heads, mixed by
+    :func:`attend`, merged and projected out; mask (broadcastable to
+    (sq, sk), True = attend) hides positions before normalization.
     """
-    sq, width = q.shape
-    sk = k.shape[0]
+    width = q.shape[-1]
     if width % heads != 0:
         raise ConfigError(f"width {width} not divisible by {heads} heads")
-    if k.shape != (sk, width) or v.shape != (sk, width):
+    if k.shape != v.shape or k.shape[:-2] != q.shape[:-2] or k.shape[-1] != width:
         raise ShapeError(f"attention inputs disagree: q{q.shape} k{k.shape} v{v.shape}")
     mixed = attend(split_heads(linear(q, p.q), heads), split_heads(linear(k, p.k), heads),
                    split_heads(linear(v, p.v), heads), mask=mask)

@@ -25,10 +25,6 @@ class Adam:
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
-
     def step(self) -> None:
         self.step_count += 1
         bc1 = 1.0 - self.beta1 ** self.step_count

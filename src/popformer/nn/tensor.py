@@ -108,8 +108,9 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = g.copy()  # g may be a view, and later gradients add in place
+    else:
+        t.grad += g
 
 
 def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward) -> Tensor:
@@ -123,6 +124,8 @@ def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward) -> Tensor:
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce a broadcast gradient back to the original operand shape."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -178,19 +181,45 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-d or batched 3-d matrix product (equal batch extents)."""
-    if a.ndim not in (2, 3) or b.ndim not in (2, 3) or a.ndim != b.ndim:
-        raise ShapeError(f"matmul supports 2d or equally batched 3d operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2] or (a.ndim == 3 and a.shape[0] != b.shape[0]):
-        raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
+    """Product over the last two axes; leading axes broadcast.
+
+    A stacked left operand times a 2-d right operand, such as a (B, N, K)
+    activation times a (K, M) weight, runs as one (B*N, K) @ (K, M) product
+    forward and in both backward products.
+    """
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul needs operands of rank >= 2, got {a.shape} @ {b.shape}")
+    if a.ndim > 2 and b.ndim == 2:
+        return _rows_matmul(a, b)
+    try:
+        out = a.data @ b.data
+    except ValueError as exc:
+        raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}") from exc
 
     def backward(g):
-        # the transpose of the last two axes, for 2-d and batched operands
+        # the transpose of the last two axes, for 2-d and stacked operands
         if a.requires_grad:
-            _accum(a, g @ np.swapaxes(b.data, -1, -2))
+            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
         if b.requires_grad:
-            _accum(b, np.swapaxes(a.data, -1, -2) @ g)
+            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+
+    return _emit(out, (a, b), backward)
+
+
+def _rows_matmul(a: Tensor, b: Tensor) -> Tensor:
+    """(..., K) @ (K, M) with every leading row of ``a`` in one 2-d product."""
+    k, m = b.shape
+    if a.shape[-1] != k:
+        raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
+    rows = a.data.reshape(-1, k)
+    out = (rows @ b.data).reshape(a.shape[:-1] + (m,))
+
+    def backward(g):
+        g = g.reshape(-1, m)
+        if a.requires_grad:
+            _accum(a, (g @ b.data.T).reshape(a.shape))
+        if b.requires_grad:
+            _accum(b, rows.T @ g)
 
     return _emit(out, (a, b), backward)
 
@@ -224,13 +253,12 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _emit(out, (a,), backward)
 
 
-def permute(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    inverse = np.argsort(axes)
-
+def swapaxes(a: Tensor, axis1: int, axis2: int) -> Tensor:
+    """Exchange two axes; the backward rule exchanges them back."""
     def backward(g):
-        _accum(a, g.transpose(inverse))
+        _accum(a, np.swapaxes(g, axis1, axis2))
 
-    return _emit(a.data.transpose(axes), (a,), backward)
+    return _emit(np.swapaxes(a.data, axis1, axis2), (a,), backward)
 
 
 def sum_all(a: Tensor) -> Tensor:

@@ -106,8 +106,10 @@ def pretrain(dataset: TrajectoryDataset, model: PopulationTransformer,
     """Shuffled mini-batch teacher forcing for ``cfg.steps`` Adam steps.
 
     Batches only mix pairs with equal (d, m, population size) so the padding
-    pattern is uniform; groups and pairs are reshuffled every pass. Returns
-    the logged (step, mean batch loss) curve.
+    pattern is uniform; groups and pairs are reshuffled every pass. Each
+    batch trains in stacked passes of at most ``max_seq // N`` pairs (at
+    least one), so one pass never holds more rows than one full-capacity
+    pair. Returns the logged (step, mean batch loss) curve.
     """
     if not dataset.pairs:
         raise DataError("cannot pretrain on an empty dataset")
@@ -137,8 +139,11 @@ def pretrain(dataset: TrajectoryDataset, model: PopulationTransformer,
         batch = next(stream)
         model.zero_grad()
         total = 0.0
-        for pair in batch:
-            total += teacher_forced_loss(model, pair.x_g, pair.x_g1, pair.unit_spec())
+        per_pass = max(1, model.config.max_seq // batch[0].size)
+        for i in range(0, len(batch), per_pass):
+            chunk = batch[i:i + per_pass]
+            total += teacher_forced_loss(model, [(p.x_g, p.x_g1) for p in chunk],
+                                         chunk[0].unit_spec())
         inv = 1.0 / len(batch)
         for p in model.parameters():
             if p.grad is not None:
@@ -185,7 +190,7 @@ def finetune_step(model: PopulationTransformer, x_g: Population, x_g1: Populatio
     loss = None
     for _ in range(cfg.steps_per_generation):
         model.zero_grad()
-        loss = teacher_forced_loss(model, x_g, target, problem.spec)
+        loss = teacher_forced_loss(model, [(x_g, target)], problem.spec)
         model.online_optimizer.step()
     return loss
 

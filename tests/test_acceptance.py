@@ -224,7 +224,12 @@ def test_c04_autodiff_finite_difference_checks():
     gen = np.random.default_rng(4)
     parents = problem.evaluate_free(problem.cluster_population(4, gen))
     targets = problem.evaluate_free(problem.target_population(parents))
-    check(lambda: model.forced_loss(parents, targets, problem.spec),
+    check(lambda: model.forced_loss([(parents, targets)], problem.spec),
+          model.parameters(), cap=4)
+    # and on a stack of two pairs, each in its own objective frame
+    parents2 = problem.evaluate_free(problem.cluster_population(4, gen))
+    targets2 = problem.evaluate_free(problem.target_population(parents2))
+    check(lambda: model.forced_loss([(parents, targets), (parents2, targets2)], problem.spec),
           model.parameters(), cap=4)
 
     elapsed = time.perf_counter() - start

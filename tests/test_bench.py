@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import json
 import math
 import os
@@ -79,6 +80,26 @@ class TestRunBenchmark:
                 assert math.isnan(r.igd)
             else:
                 assert r.igd == seq[(r.arm, r.seed)]
+
+    def test_pool_workers_run_one_blas_thread(self, monkeypatch):
+        # each cell reports its worker's BLAS thread count through its error
+        lib = bench._openblas()
+        if lib is None:
+            pytest.skip("numpy has no bundled scipy-openblas")
+        getter = lib.scipy_openblas_get_num_threads64_
+        getter.restype = ctypes.c_int
+        getter.argtypes = []
+        before = getter()
+
+        def report_threads(*args):
+            raise RuntimeError(f"blas threads {getter()}")
+
+        monkeypatch.setitem(bench.ARM_RUNNERS, "random", report_threads)
+        pooled = [r for r in run_benchmark(TINY, workers=2) if r.arm == "random"]
+        assert [r.error for r in pooled] == ["RuntimeError: blas threads 1"] * 3
+        inline = [r for r in run_benchmark(TINY) if r.arm == "random"]
+        assert [r.error for r in inline] == [f"RuntimeError: blas threads {before}"] * 3
+        assert getter() == before
 
     def test_failing_arm_yields_nan_convention(self):
         cfg = ExperimentConfig(

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from popformer import (
     EvaluationBudget,
@@ -67,6 +71,12 @@ class TestConfig:
     def test_json_rejects_unknown_fields(self):
         with pytest.raises(ConfigError):
             ModelConfig.from_json('{"banana": 3}')
+
+    @pytest.mark.parametrize("text", ['{"heads": "2"}', '{"layers": 1.5}',
+                                      '{"width": true}', '[1, 2]'])
+    def test_json_rejects_non_int_capacity(self, text):
+        with pytest.raises(ConfigError):
+            ModelConfig.from_json(text)
 
 
 class TestEmbedding:
@@ -290,7 +300,7 @@ class TestTeacherForcing:
         # as the comparison matrix must give exactly zero
         spec = self.problem.spec
         with Tape() as tape:
-            loss = self.model.forced_loss(self.parents, self.targets, spec)
+            loss = self.model.forced_loss([(self.parents, self.targets)], spec)
         tape.backward(loss)
         assert loss.item() > 0.0
         # structural zero: identical prediction/target matrices
@@ -300,18 +310,18 @@ class TestTeacherForcing:
         assert sum_all(mul(diff, diff)).item() == 0.0
 
     def test_gradients_fill_all_parameters(self):
-        loss = teacher_forced_loss(self.model, self.parents, self.targets,
+        loss = teacher_forced_loss(self.model, [(self.parents, self.targets)],
                                    self.problem.spec)
         assert np.isfinite(loss)
         assert all(p.grad is not None for p in self.model.parameters())
 
     def test_loss_ignores_padded_head_columns(self):
         spec = self.problem.spec
-        base = teacher_forced_loss(self.model, self.parents, self.targets, spec)
+        base = teacher_forced_loss(self.model, [(self.parents, self.targets)], spec)
         # rewire head columns beyond d; the masked loss must not move
         self.model.head.w.data[:, spec.d:] += 123.0
         self.model.head.b.data[spec.d:] -= 7.0
-        again = teacher_forced_loss(self.model, self.parents, self.targets, spec)
+        again = teacher_forced_loss(self.model, [(self.parents, self.targets)], spec)
         assert again == base
 
     def test_causality_exact(self):
@@ -337,12 +347,42 @@ class TestTeacherForcing:
         other = make_problem("shift", d=5, m=2)
         bad = evaluated_pop(other, 6, seed=3)
         with pytest.raises(DataError):
-            teacher_forced_loss(self.model, self.parents, bad, self.problem.spec)
+            teacher_forced_loss(self.model, [(self.parents, bad)], self.problem.spec)
+
+    def test_stack_is_sum_of_pairs(self):
+        # three pairs, each with its own objective frame: one stacked pass
+        # gives the sum of the per-pair losses and gradients
+        spec = self.problem.spec
+        pairs = [(evaluated_pop(self.problem, 6, seed=10 + k),
+                  evaluated_pop(self.problem, 6, seed=20 + k)) for k in range(3)]
+        want_loss, want_grads = 0.0, None
+        for pair in pairs:
+            self.model.zero_grad()
+            want_loss += teacher_forced_loss(self.model, [pair], spec)
+            grads = [p.grad.copy() for p in self.model.parameters()]
+            want_grads = grads if want_grads is None else \
+                [a + b for a, b in zip(want_grads, grads)]
+        self.model.zero_grad()
+        loss = teacher_forced_loss(self.model, pairs, spec)
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        # relative to the largest gradient entry: the key biases' gradients
+        # are zero up to rounding, softmax being blind to a common shift
+        scale = max(np.abs(want).max() for want in want_grads)
+        for (name, p), want in zip(self.model.named_parameters(), want_grads):
+            assert np.abs(p.grad - want).max() <= 1e-12 * scale, name
+
+    def test_stacked_pairs_must_share_shape(self):
+        spec = self.problem.spec
+        longer = (evaluated_pop(self.problem, 7, seed=3), evaluated_pop(self.problem, 7, seed=4))
+        with pytest.raises(DataError, match="disagree in shape"):
+            teacher_forced_loss(self.model, [(self.parents, self.targets), longer], spec)
+        with pytest.raises(DataError):
+            teacher_forced_loss(self.model, [], spec)
 
     def test_target_too_short_rejected(self):
         single = self.targets.take([0])
         with pytest.raises(DataError):
-            teacher_forced_loss(self.model, self.parents, single, self.problem.spec)
+            teacher_forced_loss(self.model, [(self.parents, single)], self.problem.spec)
 
 
 class TestCapacityPolymorphism:
@@ -358,7 +398,7 @@ class TestCapacityPolymorphism:
             assert len(result) == 6
             targets = evaluated_pop(problem, 6, seed=d + 1)
             model.zero_grad()
-            loss = teacher_forced_loss(model, parents, targets, problem.spec)
+            loss = teacher_forced_loss(model, [(parents, targets)], problem.spec)
             assert np.isfinite(loss)
 
 
@@ -371,7 +411,7 @@ class TestFullModelGradient:
         targets = evaluated_pop(problem, 4, seed=3)
 
         def loss():
-            return model.forced_loss(parents, targets, problem.spec)
+            return model.forced_loss([(parents, targets)], problem.spec)
 
         report = gradient_check(loss, model.parameters(), max_entries=4, seed=0)
         assert report["max_rel_err"] <= 1e-4
@@ -420,6 +460,51 @@ class TestCheckpoint:
         path.write_bytes(b"NOPE" + b"\0" * 64)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    @staticmethod
+    def with_config(blob: bytes, text: str) -> bytes:
+        """``blob`` with its config JSON replaced by ``text``."""
+        (length,) = struct.unpack("<I", blob[8:12])
+        cfg = text.encode("utf-8")
+        return blob[:8] + struct.pack("<I", len(cfg)) + cfg + blob[12 + length:]
+
+    def test_undecodable_config_names_path(self, tmp_path):
+        path = tmp_path / "model.petm"
+        save_checkpoint(PopulationTransformer(TOY, seed=6), path)
+        blob = bytearray(path.read_bytes())
+        blob[12] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="model.petm: bad model config"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field,value", [("heads", '"2"'), ("layers", "1.5")])
+    def test_non_int_config_field_names_path(self, tmp_path, field, value):
+        path = tmp_path / "model.petm"
+        save_checkpoint(PopulationTransformer(TOY, seed=6), path)
+        text = TOY.to_json().replace(f'"{field}":{getattr(TOY, field)}',
+                                     f'"{field}":{value}')
+        assert value in text
+        path.write_bytes(self.with_config(path.read_bytes(), text))
+        with pytest.raises(CheckpointError, match=f"model.petm: bad model config: {field}"):
+            load_checkpoint(path)
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_corrupted_file_loads_or_raises_checkpoint_error(self, tmp_path, data):
+        path = tmp_path / "model.petm"
+        save_checkpoint(PopulationTransformer(TOY, seed=6), path)
+        blob = bytearray(path.read_bytes())
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+            blob[at] ^= data.draw(st.integers(1, 255), label="xor")
+        path.write_bytes(bytes(blob))
+        try:
+            load_checkpoint(path)
+        except CheckpointError as exc:
+            assert str(path) in str(exc)
 
     def test_config_mismatch_rejected(self, tmp_path):
         model = PopulationTransformer(TOY, seed=7)

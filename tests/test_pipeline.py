@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from popformer import (
     EvaluationBudget,
@@ -149,6 +151,45 @@ class TestDataset:
         with pytest.raises(DataError):
             TrajectoryDataset.load(path)
 
+    def test_invalid_utf8_names_file_and_line(self, tmp_path):
+        _, pairs = shift_pairs(2)
+        path = tmp_path / "d.jsonl"
+        TrajectoryDataset(pairs=pairs).save(path)
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = b"\xff" + lines[2]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(DataError, match="d.jsonl: line 3: invalid UTF-8"):
+            TrajectoryDataset.load(path)
+
+    @pytest.mark.parametrize("manifest", ["not json", "[1, 2]"])
+    def test_bad_manifest_names_file_and_line(self, tmp_path, manifest):
+        _, pairs = shift_pairs(2)
+        path = tmp_path / "d.jsonl"
+        TrajectoryDataset(pairs=pairs).save(path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([manifest] + lines[1:]) + "\n")
+        with pytest.raises(DataError, match="d.jsonl: line 1: "):
+            TrajectoryDataset.load(path)
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_corrupted_file_loads_or_raises_data_error(self, tmp_path, data):
+        _, pairs = shift_pairs(2, pop_size=4, d=3)
+        path = tmp_path / "d.jsonl"
+        TrajectoryDataset(pairs=pairs).save(path)
+        blob = bytearray(path.read_bytes())
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+            blob[at] ^= data.draw(st.integers(1, 255), label="xor")
+        path.write_bytes(bytes(blob))
+        try:
+            TrajectoryDataset.load(path)
+        except DataError as exc:
+            assert str(path) in str(exc)
+
     def test_pair_invariants(self):
         problem = make_problem("shift", d=4, m=2)
         pop = evaluated_pop(problem, 4)
@@ -200,6 +241,23 @@ class TestPretrain:
             pretrain(TrajectoryDataset(pairs=pairs), PopulationTransformer(TOY, seed=0),
                      PretrainConfig(steps=10, batch_size=1, eval_every=50))
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("pop_size,passes", [(20, [5, 3]), (100, [1] * 8)])
+    def test_batch_runs_in_passes_of_at_most_max_seq_rows(self, monkeypatch, pop_size,
+                                                           passes):
+        _, pairs = shift_pairs(8, pop_size=pop_size)
+        real = pipeline.teacher_forced_loss
+        sizes = []
+
+        def counting(model, pairs, spec):
+            sizes.append(len(pairs))
+            return real(model, pairs, spec)
+
+        monkeypatch.setattr(pipeline, "teacher_forced_loss", counting)
+        cfg = ModelConfig(d_hat=8, m_hat=4, width=16, layers=1, heads=2, max_seq=100)
+        pretrain(TrajectoryDataset(pairs=pairs), PopulationTransformer(cfg, seed=0),
+                 PretrainConfig(steps=1, batch_size=8))
+        assert sizes == passes
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError):
@@ -260,8 +318,8 @@ class TestFinetune:
         selected = select(self.x_g, self.x_g1)
         kept = [i - 6 for i in selected if i >= 6]
         assert 2 <= len(kept) < 6
-        want = teacher_forced_loss(PopulationTransformer(TOY, seed=5), self.x_g,
-                                   self.x_g1.take(kept), self.problem.spec)
+        want = teacher_forced_loss(PopulationTransformer(TOY, seed=5), [(self.x_g, self.x_g1.take(kept))],
+                                   self.problem.spec)
         got = finetune_step(self.model, self.x_g, self.x_g1, self.problem, FinetuneConfig(),
                             selected)
         assert got == want
@@ -275,8 +333,8 @@ class TestFinetune:
         offspring = evaluated(problem, np.ones((6, 6)), gen=1)
         selected = select(parents, offspring)
         survivors = parents.concat(offspring).take(selected)
-        want = teacher_forced_loss(PopulationTransformer(TOY, seed=5), parents,
-                                   survivors, problem.spec)
+        want = teacher_forced_loss(PopulationTransformer(TOY, seed=5), [(parents, survivors)],
+                                   problem.spec)
         got = finetune_step(self.model, parents, offspring, problem, FinetuneConfig(),
                             selected)
         assert got == want
@@ -310,10 +368,10 @@ class TestFinetune:
             target = x_g.concat(x_g1).take(selected)
             pair = TrajectoryPair.from_populations(self.problem.spec, x_g, target,
                                                    "t", seed, 0)
-            before = teacher_forced_loss(model, pair.x_g, pair.x_g1, pair.unit_spec())
+            before = teacher_forced_loss(model, [(pair.x_g, pair.x_g1)], pair.unit_spec())
             model.zero_grad()
             finetune_step(model, x_g, x_g1, self.problem, FinetuneConfig(lr=1e-4), selected)
-            after = teacher_forced_loss(model, pair.x_g, pair.x_g1, pair.unit_spec())
+            after = teacher_forced_loss(model, [(pair.x_g, pair.x_g1)], pair.unit_spec())
             wins += after <= before
         assert wins >= 40
 

@@ -22,6 +22,7 @@ from popformer.nn import (
     layer_norm,
     linear,
     relu,
+    reshape,
     softmax,
     sub,
     sum_all,
@@ -234,6 +235,67 @@ class TestAttention:
             multi_head_attention(x, x, x, p, heads=3)
 
 
+class TestStacked:
+    """Leading stack axes: each stacked result equals the unstacked call on
+    its slice, and tape gradients match finite differences."""
+
+    def test_stacked_rows_times_weight(self):
+        rng = np.random.default_rng(5)
+        a = leaf(rng.normal(size=(3, 4, 5)))
+        b = leaf(rng.normal(size=(5, 2)))
+        probe = const(rng.normal(size=(3, 4, 2)))
+        out = matmul(a, b).data
+        for i in range(3):
+            np.testing.assert_allclose(out[i], matmul(const(a.data[i]), b).data,
+                                       rtol=1e-12, atol=1e-15)
+        report = gradient_check(lambda: sum_all(mul(matmul(a, b), probe)), [a, b])
+        assert report["max_rel_err"] <= 1e-6
+
+    def test_stacked_heads_times_stacked_heads(self):
+        rng = np.random.default_rng(6)
+        q = leaf(rng.normal(size=(2, 3, 4, 2)))
+        k = leaf(rng.normal(size=(2, 3, 2, 4)))
+        probe = const(rng.normal(size=(2, 3, 4, 4)))
+        out = matmul(q, k).data
+        for i in range(2):
+            np.testing.assert_allclose(out[i], matmul(const(q.data[i]), const(k.data[i])).data,
+                                       rtol=1e-12, atol=1e-15)
+        report = gradient_check(lambda: sum_all(mul(matmul(q, k), probe)), [q, k])
+        assert report["max_rel_err"] <= 1e-6
+
+    def test_stack_extents_must_agree(self):
+        with pytest.raises(ShapeError):
+            matmul(const(np.zeros((2, 3, 4))), const(np.zeros((3, 4, 5))))
+        with pytest.raises(ShapeError):
+            matmul(const(np.zeros((2, 3, 4))), const(np.zeros((5, 6))))
+
+    def test_stacked_causal_attention(self):
+        rng = np.random.default_rng(7)
+        p = attention_params(rng, 8)
+        x = leaf(rng.normal(size=(2, 3, 8)))
+        mask = causal_mask(3)
+        out = multi_head_attention(x, x, x, p, 2, mask=mask).data
+        for i in range(2):
+            xi = const(x.data[i])
+            np.testing.assert_allclose(out[i], multi_head_attention(xi, xi, xi, p, 2,
+                                                                    mask=mask).data,
+                                       rtol=1e-12, atol=1e-15)
+        w = const(rng.normal(size=(2, 3, 8)))
+        params = [x, p.q.w, p.q.b, p.k.w, p.k.b, p.v.w, p.v.b, p.out.w, p.out.b]
+
+        def loss():
+            return sum_all(mul(multi_head_attention(x, x, x, p, 2, mask=mask), w))
+
+        assert gradient_check(loss, params)["max_rel_err"] <= 1e-4
+
+    def test_stacked_attention_inputs_must_share_stack(self):
+        p = attention_params(np.random.default_rng(8), 8)
+        q = const(np.zeros((2, 3, 8)))
+        kv = const(np.zeros((3, 3, 8)))
+        with pytest.raises(ShapeError):
+            multi_head_attention(q, kv, kv, p, 2)
+
+
 class TestMlp:
     def test_zero_weights_zero_output(self):
         p = MlpParams(
@@ -276,6 +338,20 @@ class TestTape:
         with pytest.raises(ShapeError):
             tape.backward(y)
 
+    def test_first_gradient_is_a_copy(self):
+        # reshape hands its output's gradient on as a view; x's second
+        # gradient must add to x's own buffer, not to y's
+        x = leaf(np.arange(6.0).reshape(2, 3))
+        v = const(np.full((2, 3), 0.5))
+        w = const(np.arange(6.0).reshape(3, 2))
+        with Tape() as tape:
+            first = sum_all(mul(x, v))
+            y = reshape(x, (3, 2))
+            loss = add(first, sum_all(mul(y, w)))
+        tape.backward(loss)
+        assert np.array_equal(y.grad, w.data)
+        assert np.array_equal(x.grad, w.data.reshape(2, 3) + 0.5)
+
     def test_gradient_accumulates_across_reuse(self):
         x = leaf([2.0])
         with Tape() as tape:
@@ -315,7 +391,7 @@ class TestAdam:
         w.data /= np.linalg.norm(w.data)  # start at norm 1
         opt = Adam([w], lr=0.01, weight_decay=0.0)
         for _ in range(500):
-            opt.zero_grad()
+            w.grad = None
             with Tape() as tape:
                 loss = sum_all(mul(w, w))
             tape.backward(loss)
