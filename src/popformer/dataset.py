@@ -18,15 +18,21 @@ DATASET_FORMAT = "popformer-trajectories"
 DATASET_VERSION = 1
 
 
-def minmax_normalize_objectives(objs: np.ndarray) -> np.ndarray:
-    """Column-wise min-max to [0, 1]; zero-range columns map to 0.5."""
-    lo = objs.min(axis=0)
-    hi = objs.max(axis=0)
-    span = hi - lo
-    out = np.full_like(objs, 0.5, dtype=float)
+def objective_frame(objs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column-wise (low, span) of (..., n, m) objectives over the rows axis;
+    each is (..., m)."""
+    low = objs.min(axis=-2)
+    return low, objs.max(axis=-2) - low
+
+
+def minmax_normalize_objectives(objs: np.ndarray,
+                                frame: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Column-wise min-max of (..., n, m) objectives against ``frame``, by
+    default the rows' own ``objective_frame``; zero-span columns map to 0.5."""
+    low, span = objective_frame(objs) if frame is None else frame
+    low, span = low[..., None, :], span[..., None, :]
     ok = span > 0
-    out[:, ok] = (objs[:, ok] - lo[ok]) / span[ok]
-    return out
+    return np.where(ok, (objs - low) / np.where(ok, span, 1.0), 0.5)
 
 
 @dataclass(frozen=True)

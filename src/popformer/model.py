@@ -39,6 +39,7 @@ from .core import (
     denormalize_decision,
     normalize_decision,
 )
+from .dataset import minmax_normalize_objectives, objective_frame
 from .errors import (
     BudgetExhausted,
     CapacityError,
@@ -300,13 +301,7 @@ class PopulationTransformer:
             raise CapacityError(f"objective count {m} exceeds capacity {cfg.m_hat}")
         if n > cfg.max_seq:
             raise CapacityError(f"population size {n} exceeds capacity {cfg.max_seq}")
-        if frame is None:
-            low = f.min(axis=-2, keepdims=True)
-            span = f.max(axis=-2, keepdims=True) - low
-        else:
-            low, span = frame[0][..., None, :], frame[1][..., None, :]
-        ok = span > 0
-        normed = np.where(ok, (f - low) / np.where(ok, span, 1.0), 0.5)
+        normed = minmax_normalize_objectives(f, frame)
         if frame is not None:
             normed = np.clip(normed, -1.0, 2.0)
         decisions = np.zeros((*lead, n, cfg.d_hat))
@@ -332,10 +327,9 @@ class PopulationTransformer:
         """Run the encoder once; the result conditions every decode step."""
         if not parents.all_evaluated:
             raise DataError("encoding requires an evaluated parent population")
-        low = parents.f.min(axis=0)
+        low, span = objective_frame(parents.f)
         memories = self.encode_layers(self.embed(parents.x, parents.f, spec))
-        return EncodedParents(memories=memories, obj_low=low,
-                              obj_span=parents.f.max(axis=0) - low)
+        return EncodedParents(memories=memories, obj_low=low, obj_span=span)
 
     def decode(self, y: Tensor, memories: list[Tensor]) -> Tensor:
         """Masked self-attention, cross-attention into the encoder, then MLP.
@@ -480,8 +474,7 @@ class PopulationTransformer:
             raise DataError("parent and target populations disagree in (d, m)")
         parents_x, parents_f = np.stack([p.x for p in parents]), np.stack([p.f for p in parents])
         targets_x, targets_f = np.stack([t.x for t in targets]), np.stack([t.f for t in targets])
-        low = parents_f.min(axis=-2)
-        frame = (low, parents_f.max(axis=-2) - low)
+        frame = objective_frame(parents_f)
         y = self.decode(self.embed(targets_x[:, :-1], targets_f[:, :-1], spec, frame=frame),
                         self.encode_layers(self.embed(parents_x, parents_f, spec)))
         pred = self.head_activations(y)  # (pairs, size - 1, d_hat)
