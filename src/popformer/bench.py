@@ -9,7 +9,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +43,13 @@ ARM_RUNNERS = {
 ARM_KINDS = tuple(ARM_RUNNERS)
 
 
+def _require_ints(obj, *names: str) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) is not int:  # a bool, a float or a string is not a count
+            raise ConfigError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ArmSpec:
     """One algorithm arm. ``learned`` arms need a checkpoint path (or run a
@@ -58,6 +65,7 @@ class ArmSpec:
     def __post_init__(self):
         if self.kind not in ARM_KINDS:
             raise ConfigError(f"unknown arm kind {self.kind!r} (known: {ARM_KINDS})")
+        _require_ints(self, "steps_per_generation")
         if self.label is None:
             object.__setattr__(self, "label", self.kind)
 
@@ -67,6 +75,9 @@ class ProblemCase:
     name: str
     d: int
     m: int = 2
+
+    def __post_init__(self):
+        _require_ints(self, "d", "m")
 
 
 @dataclass(frozen=True)
@@ -82,8 +93,20 @@ class ExperimentConfig:
     alpha: float = 0.05
 
     def __post_init__(self):
+        _require_ints(self, "n_pop", "evals", "n_seeds", "master_seed")
+        if self.reference_front_size is not None:
+            _require_ints(self, "reference_front_size")
+        if not (self.problems and self.arms):
+            raise ConfigError("a grid needs at least one problem and one arm")
+        if self.n_pop < 2:
+            raise ConfigError(f"n_pop must be >= 2, got {self.n_pop}")
+        if self.evals < self.n_pop:
+            raise ConfigError(f"evals ({self.evals}) must cover the initial population "
+                              f"of n_pop={self.n_pop}")
         if self.n_seeds < 1:
             raise ConfigError("n_seeds must be >= 1")
+        if not (isinstance(self.alpha, (int, float)) and 0.0 < self.alpha < 1.0):
+            raise ConfigError(f"alpha must be in (0, 1), got {self.alpha!r}")
         labels = [a.label for a in self.arms]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"duplicate arm labels: {labels}")
@@ -91,11 +114,20 @@ class ExperimentConfig:
             raise ConfigError(f"reference arm {self.reference_arm!r} not among arms {labels}")
 
     @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        raw = json.loads(text)
-        problems = tuple(ProblemCase(**p) for p in raw.pop("problems"))
-        arms = tuple(ArmSpec(**a) for a in raw.pop("arms"))
-        return cls(problems=problems, arms=arms, **raw)
+    def from_json(cls, text: str, source: str = "experiment config") -> "ExperimentConfig":
+        """Parse a grid config; any problem with it is a ConfigError naming
+        ``source``, e.g. the file it came from."""
+        try:
+            raw = json.loads(text)
+            if not isinstance(raw, dict):
+                raise ConfigError(f"must be a JSON object, got {type(raw).__name__}")
+            problems = tuple(ProblemCase(**p) for p in raw.pop("problems", ()))
+            arms = tuple(ArmSpec(**a) for a in raw.pop("arms", ()))
+            return cls(problems=problems, arms=arms, **raw)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{source}: bad JSON: {exc}") from exc
+        except (ConfigError, TypeError) as exc:  # TypeError: an entry's fields do not fit
+            raise ConfigError(f"{source}: {exc}") from exc
 
     def to_json(self) -> str:
         payload = asdict(self)

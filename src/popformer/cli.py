@@ -141,7 +141,7 @@ def _cmd_optimize(args) -> int:
 def _cmd_benchmark(args) -> int:
     from .bench import ExperimentConfig, emit_report, run_benchmark, summarize
 
-    cfg = ExperimentConfig.from_json(Path(args.config).read_text())
+    cfg = ExperimentConfig.from_json(Path(args.config).read_text(), source=args.config)
     records = run_benchmark(cfg, workers=args.workers)
     summary = summarize(records, cfg)
     paths = emit_report(records, summary, args.out)

@@ -165,16 +165,17 @@ def denormalize_decision(u: np.ndarray, spec: ProblemSpec) -> np.ndarray:
 
 
 def aggregate_violation(inequalities: np.ndarray, equalities: np.ndarray | None = None,
-                        eq_tolerance: float = 1e-4) -> float:
-    """Collapse constraint values into one non-negative violation.
+                        eq_tolerance: float = 1e-4):
+    """Collapse constraint values into one non-negative violation per row.
 
-    Inequalities use the g(x) <= 0 convention; equalities within
-    ``eq_tolerance`` of zero count as satisfied.
+    Constraint values lie along the last axis. Inequalities use the
+    g(x) <= 0 convention; equalities within ``eq_tolerance`` of zero count
+    as satisfied.
     """
-    total = float(np.sum(np.maximum(0.0, np.asarray(inequalities, dtype=float))))
-    if equalities is not None and len(np.atleast_1d(equalities)):
+    total = np.sum(np.maximum(0.0, np.asarray(inequalities, dtype=float)), axis=-1)
+    if equalities is not None and np.size(equalities):
         h = np.abs(np.asarray(equalities, dtype=float))
-        total += float(np.sum(np.where(h > eq_tolerance, h, 0.0)))
+        total = total + np.sum(np.where(h > eq_tolerance, h, 0.0), axis=-1)
     return total
 
 
@@ -182,8 +183,9 @@ class Problem:
     """Deterministic black-box evaluator with a declared spec.
 
     Subclasses implement ``objectives`` (and optionally ``constraints`` with the
-    g(x) <= 0 convention). Instances are immutable after construction and safe
-    for concurrent evaluation.
+    g(x) <= 0 convention) over (..., d) decision rows, returning (..., m)
+    objectives (and (..., c) constraint values). Instances are immutable after
+    construction and safe for concurrent evaluation.
     """
 
     spec: ProblemSpec
@@ -192,34 +194,35 @@ class Problem:
         raise NotImplementedError
 
     def constraints(self, x: np.ndarray) -> np.ndarray:
-        return np.empty(0)
+        return np.empty(x.shape[:-1] + (0,))
 
     def reference_front(self, n: int) -> np.ndarray:
         raise UnsupportedFront(f"{self.spec.name} has no analytic reference front")
 
-    def in_bounds(self, x: np.ndarray) -> bool:
-        return bool(np.all(x >= self.spec.lower) and np.all(x <= self.spec.upper))
+    def evaluate_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Objectives (k, m) and aggregate violations (k,) of a (k, d) block
+        of decision rows."""
+        spec = self.spec
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != spec.d:
+            raise ContractViolation(f"{spec.name}: expected (k, {spec.d}) rows, got {x.shape}")
+        outside = ~((x >= spec.lower) & (x <= spec.upper)).all(axis=1)
+        if outside.any():
+            raise ContractViolation(f"{spec.name}: decision row {np.argmax(outside)} out of bounds")
+        f = np.asarray(self.objectives(x), dtype=float)
+        g = np.asarray(self.constraints(x), dtype=float)
+        if f.shape != (len(x), spec.m) or g.ndim != 2 or len(g) != len(x):
+            raise EvaluationError(f"{spec.name}: {len(x)} rows gave objectives of shape "
+                                  f"{f.shape} and constraints of shape {g.shape}")
+        for what, values in (("objectives", f), ("constraints", g)):
+            if not np.isfinite(values).all():
+                raise EvaluationError(f"{spec.name}: evaluator produced non-finite {what}")
+        return f, aggregate_violation(g)
 
     def evaluate_solution(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         """Objectives and aggregate violation of one decision vector."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.spec.d,):
-            raise ContractViolation(
-                f"{self.spec.name}: expected decision vector of length {self.spec.d}, got {x.shape}"
-            )
-        if not self.in_bounds(x):
-            raise ContractViolation(f"{self.spec.name}: decision vector out of bounds")
-        f = np.asarray(self.objectives(x), dtype=float)
-        if f.shape != (self.spec.m,):
-            raise EvaluationError(
-                f"{self.spec.name}: evaluator returned shape {f.shape}, expected ({self.spec.m},)"
-            )
-        if not np.isfinite(f).all():
-            raise EvaluationError(f"{self.spec.name}: evaluator produced non-finite objectives")
-        g = np.asarray(self.constraints(x), dtype=float)
-        if g.size and not np.isfinite(g).all():
-            raise EvaluationError(f"{self.spec.name}: evaluator produced non-finite constraints")
-        return f, aggregate_violation(g)
+        f, cv = self.evaluate_batch(np.asarray(x, dtype=float)[None])
+        return f[0], float(cv[0])
 
 
 class EvaluationBudget:
@@ -270,9 +273,11 @@ class EvaluationBudget:
 
 
 def evaluate(pop: Population, problem: Problem, budget: EvaluationBudget) -> Population:
-    """Evaluate the unevaluated members of ``pop`` in order, budget permitting.
+    """Evaluate the unevaluated members of ``pop`` in order, budget permitting,
+    as one block of rows.
 
-    Already evaluated members consume nothing. When the budget covers only a
+    Already evaluated members consume nothing. A block that raises charges
+    nothing: the whole grant returns to the budget. When the budget covers only a
     prefix of the pending members, that prefix is evaluated and a
     :class:`BudgetExhausted` is raised carrying the partial population; when it
     covers none, the signal reports zero evaluations performed.
@@ -288,13 +293,11 @@ def evaluate(pop: Population, problem: Problem, budget: EvaluationBudget) -> Pop
         )
     f = np.full((len(pop), problem.spec.m), np.nan) if pop.f is None else pop.f.copy()
     cv = np.full(len(pop), np.nan) if pop.cv is None else pop.cv.copy()
-    performed = 0
+    rows = pending[:grant]
     try:
-        for i in pending[:grant]:
-            f[i], cv[i] = problem.evaluate_solution(pop.x[i])
-            performed += 1
+        f[rows], cv[rows] = problem.evaluate_batch(pop.x[rows])
     except Exception:
-        budget.release(grant - performed)
+        budget.release(grant)
         raise
     result = Population(pop.x, f, cv, pop.generation_index)
     if grant < len(pending):

@@ -7,6 +7,7 @@ partial, and every recorded generation is a post-selection parent population.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,23 +43,24 @@ class VariationConfig:
             raise ConfigError("sbx_prob must be in [0, 1]")
         if self.pm_prob is not None and not (0.0 <= self.pm_prob <= 1.0):
             raise ConfigError("pm_prob must be in [0, 1]")
-        if self.sbx_eta <= 0 or self.pm_eta <= 0:
-            raise ConfigError("distribution indices must be positive")
+        if not all(math.isfinite(eta) and eta > 0 for eta in (self.sbx_eta, self.pm_eta)):
+            raise ConfigError("distribution indices must be finite and positive")
 
 
 def _dominance_matrix(objs: np.ndarray, cv: np.ndarray) -> np.ndarray:
     """dom[i, j] is True when member i constrained-dominates member j."""
-    le = np.all(objs[:, None, :] <= objs[None, :, :], axis=2)
-    lt = np.any(objs[:, None, :] < objs[None, :, :], axis=2)
+    le = np.ones((len(objs), len(objs)), dtype=bool)
+    lt = np.zeros_like(le)
+    for col in objs.T:  # one (N, N) comparison per objective, not one (N, N, m) block
+        le &= col[:, None] <= col[None, :]
+        lt |= col[:, None] < col[None, :]
     pareto = le & lt
     if not np.any(cv > 0):
         return pareto
+    # Pareto between feasible members, else the smaller violation wins (a
+    # feasible member's zero beats any infeasible one's)
     feas = cv == 0.0
-    both_feas = feas[:, None] & feas[None, :]
-    dom = both_feas & pareto
-    dom |= feas[:, None] & ~feas[None, :]
-    dom |= (~feas[:, None] & ~feas[None, :]) & (cv[:, None] < cv[None, :])
-    return dom
+    return (pareto & feas[:, None] & feas[None, :]) | (cv[:, None] < cv[None, :])
 
 
 def fast_nondominated_sort(pop: Population) -> FrontPartition:
@@ -75,17 +77,15 @@ def fast_nondominated_sort(pop: Population) -> FrontPartition:
     rank = np.full(n, -1, dtype=int)
     fronts: list[tuple[int, ...]] = []
     remaining = np.ones(n, dtype=bool)
-    level = 0
     while remaining.any():
         current = remaining & (counts == 0)
         if not current.any():  # defensive; cannot happen for a strict partial order
             current = remaining.copy()
         idx = np.flatnonzero(current)
-        fronts.append(tuple(int(i) for i in idx))
-        rank[idx] = level
+        rank[idx] = len(fronts)
+        fronts.append(tuple(idx.tolist()))
         remaining[idx] = False
         counts = counts - dom[idx].sum(axis=0)
-        level += 1
     return FrontPartition(fronts=tuple(fronts), rank=rank)
 
 
@@ -104,25 +104,22 @@ def crowding_distance(front_objs: np.ndarray) -> np.ndarray:
     for j in range(m):
         order = np.argsort(front_objs[:, j], kind="stable")
         col = front_objs[order, j]
-        scores[order[0]] = np.inf
-        scores[order[-1]] = np.inf
+        scores[order[[0, -1]]] = np.inf
         span = col[-1] - col[0]
-        if n > 2 and span > 0:
-            gaps = (col[2:] - col[:-2]) / span
-            interior = order[1:-1]
-            finite = np.isfinite(scores[interior])
-            scores[interior[finite]] += gaps[finite]
+        if n > 2 and span > 0:  # a boundary member elsewhere stays at +inf
+            scores[order[1:-1]] += (col[2:] - col[:-2]) / span
     return scores
 
 
-def rank_and_crowding(pop: Population) -> tuple[np.ndarray, np.ndarray]:
-    """Ranks plus per-front crowding scores for the whole population."""
+def _merit_order(pop: Population) -> np.ndarray:
+    """Member indices ordered by (rank asc, crowding desc, index asc), with
+    crowding scored within each front."""
     part = fast_nondominated_sort(pop)
     crowd = np.zeros(len(pop))
     for front in part.fronts:
         idx = np.array(front)
         crowd[idx] = crowding_distance(pop.f[idx])
-    return part.rank, crowd
+    return np.lexsort((np.arange(len(pop)), -crowd, part.rank))
 
 
 def nsga2_select(pop: Population, n: int) -> np.ndarray:
@@ -135,103 +132,85 @@ def nsga2_select(pop: Population, n: int) -> np.ndarray:
     """
     if n > len(pop):
         raise ContractViolation(f"cannot select {n} from a population of {len(pop)}")
-    rank, crowd = rank_and_crowding(pop)
-    return np.lexsort((np.arange(len(pop)), -crowd, rank))[:n]
+    return _merit_order(pop)[:n]
 
 
-def _tournament(rank, crowd, rng, count):
-    n = len(rank)
-    picks = np.empty(count, dtype=int)
-    for t in range(count):
-        i, j = rng.integers(0, n, size=2)
-        a = (rank[i], -crowd[i], i)
-        b = (rank[j], -crowd[j], j)
-        picks[t] = i if a <= b else j
-    return picks
+def sbx_crossover(a: np.ndarray, b: np.ndarray, draws: np.ndarray, cfg: VariationConfig,
+                  lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounded simulated binary crossover of the parent rows ``a`` and ``b``
+    (k, d); children are clamped to bounds.
 
-
-def sbx_crossover(a: np.ndarray, b: np.ndarray, cfg: VariationConfig,
-                  rng: np.random.Generator, lower: np.ndarray,
-                  upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bounded simulated binary crossover; children are clamped to bounds."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ContractViolation("parents must share one dimension")
+    ``draws`` holds each pair's uniform variates, (k, 1 + 3d): the gate that
+    decides whether the pair crosses at all, then per variable whether it
+    crosses, its spread variate and whether the two children swap it.
+    """
+    d = a.shape[1]
+    gate, do_var, u, swap = np.split(draws, [1, 1 + d, 1 + 2 * d], axis=1)
+    cross = (gate <= cfg.sbx_prob) & (do_var <= 0.5) & (np.abs(a - b) >= 1e-14)
+    y1, y2 = np.minimum(a, b)[cross], np.maximum(a, b)[cross]
+    lo, hi = np.broadcast_to(lower, a.shape)[cross], np.broadcast_to(upper, a.shape)[cross]
+    span, r, eta = y2 - y1, u[cross], cfg.sbx_eta
+    # the spread factors toward the lower and the upper bound, one row each
+    alpha = 2.0 - (1.0 + 2.0 * np.stack([y1 - lo, hi - y2]) / span) ** -(eta + 1.0)
+    bq = np.where(r <= 1.0 / alpha, r * alpha, 1.0 / (2.0 - r * alpha)) ** (1.0 / (eta + 1.0))
+    v1 = np.clip(0.5 * ((y1 + y2) - bq[0] * span), lo, hi)
+    v2 = np.clip(0.5 * ((y1 + y2) + bq[1] * span), lo, hi)
+    flip = swap[cross] <= 0.5
     c1, c2 = a.copy(), b.copy()
-    if rng.random() > cfg.sbx_prob:
-        return c1, c2
-    eta = cfg.sbx_eta
-    do_var = rng.random(a.size) <= 0.5
-    u = rng.random(a.size)
-    swap = rng.random(a.size) <= 0.5
-    for i in range(a.size):
-        if not do_var[i] or abs(a[i] - b[i]) < 1e-14:
-            continue
-        y1, y2 = (a[i], b[i]) if a[i] < b[i] else (b[i], a[i])
-        span = y2 - y1
-        beta_l = 1.0 + 2.0 * (y1 - lower[i]) / span
-        beta_u = 1.0 + 2.0 * (upper[i] - y2) / span
-        r = u[i]
-
-        def child(beta):
-            alpha = 2.0 - beta ** -(eta + 1.0)
-            if r <= 1.0 / alpha:
-                return (r * alpha) ** (1.0 / (eta + 1.0))
-            return (1.0 / (2.0 - r * alpha)) ** (1.0 / (eta + 1.0))
-
-        bq1 = child(beta_l)
-        bq2 = child(beta_u)
-        v1 = 0.5 * ((y1 + y2) - bq1 * span)
-        v2 = 0.5 * ((y1 + y2) + bq2 * span)
-        v1 = min(max(v1, lower[i]), upper[i])
-        v2 = min(max(v2, lower[i]), upper[i])
-        if swap[i]:
-            v1, v2 = v2, v1
-        c1[i], c2[i] = v1, v2
+    c1[cross] = np.where(flip, v2, v1)
+    c2[cross] = np.where(flip, v1, v2)
     return c1, c2
 
 
-def polynomial_mutation(x: np.ndarray, cfg: VariationConfig, rng: np.random.Generator,
+def polynomial_mutation(x: np.ndarray, draws: np.ndarray, cfg: VariationConfig,
                         lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Bounded polynomial mutation with per-variable probability."""
-    x = np.asarray(x, dtype=float).copy()
-    prob = cfg.pm_prob if cfg.pm_prob is not None else 1.0 / x.size
+    """Bounded polynomial mutation of the rows ``x`` (k, d) with per-variable
+    probability.
+
+    ``draws`` holds each row's uniform variates, (k, 2d): per variable
+    whether it mutates, then its spread variate.
+    """
+    prob = cfg.pm_prob if cfg.pm_prob is not None else 1.0 / x.shape[1]
+    mask, u = np.split(draws, 2, axis=1)
+    hit = mask <= prob
+    v, r = x[hit], u[hit]
+    lo, hi = np.broadcast_to(lower, x.shape)[hit], np.broadcast_to(upper, x.shape)[hit]
+    span = hi - lo
     eta = cfg.pm_eta
-    do_var = rng.random(x.size) <= prob
-    u = rng.random(x.size)
-    for i in np.flatnonzero(do_var):
-        span = upper[i] - lower[i]
-        d1 = (x[i] - lower[i]) / span
-        d2 = (upper[i] - x[i]) / span
-        r = u[i]
-        mut_pow = 1.0 / (eta + 1.0)
-        if r < 0.5:
-            val = 2.0 * r + (1.0 - 2.0 * r) * (1.0 - d1) ** (eta + 1.0)
-            delta = val ** mut_pow - 1.0
-        else:
-            val = 2.0 * (1.0 - r) + 2.0 * (r - 0.5) * (1.0 - d2) ** (eta + 1.0)
-            delta = 1.0 - val ** mut_pow
-        x[i] = min(max(x[i] + delta * span, lower[i]), upper[i])
-    return x
+    below = r < 0.5
+    dist = np.where(below, 1.0 - (v - lo) / span, 1.0 - (hi - v) / span) ** (eta + 1.0)
+    val = np.where(below, 2.0 * r + (1.0 - 2.0 * r) * dist,
+                   2.0 * (1.0 - r) + 2.0 * (r - 0.5) * dist) ** (1.0 / (eta + 1.0))
+    out = x.copy()
+    out[hit] = np.clip(v + np.where(below, val - 1.0, 1.0 - val) * span, lo, hi)
+    return out
 
 
 def sbx_pm_offspring(parents: Population, cfg: VariationConfig,
                      rng: np.random.Generator, problem: Problem) -> Population:
-    """Standard NSGA-II variation: tournament mating, SBX, then mutation."""
+    """Standard NSGA-II variation: tournament mating, SBX, then mutation.
+
+    Consecutive picks pair up. Each pair draws one row of 1 + 7d uniforms,
+    its SBX variates followed by each child's mutation variates; an odd last
+    pick is only mutated, with 2d more draws.
+    """
     spec = problem.spec
-    rank, crowd = rank_and_crowding(parents)
-    n = len(parents)
-    picks = _tournament(rank, crowd, rng, n)
-    children = np.empty((n, spec.d))
-    for k in range(0, n - 1, 2):
-        c1, c2 = sbx_crossover(parents.x[picks[k]], parents.x[picks[k + 1]], cfg, rng,
-                               spec.lower, spec.upper)
-        children[k] = polynomial_mutation(c1, cfg, rng, spec.lower, spec.upper)
-        children[k + 1] = polynomial_mutation(c2, cfg, rng, spec.lower, spec.upper)
-    if n % 2:  # odd population: mutate the last pick
-        children[-1] = polynomial_mutation(parents.x[picks[-1]], cfg, rng,
-                                           spec.lower, spec.upper)
+    n, d = len(parents), spec.d
+    # binary tournaments between uniform draws, won by the earlier merit place
+    place = np.argsort(_merit_order(parents))
+    i, j = rng.integers(0, n, size=(n, 2)).T
+    picks = np.where(place[i] <= place[j], i, j)
+    even = n - n % 2
+    sbx_draws, pm1_draws, pm2_draws = np.split(rng.random((n // 2, 1 + 7 * d)),
+                                               [1 + 3 * d, 1 + 5 * d], axis=1)
+    c1, c2 = sbx_crossover(parents.x[picks[0:even:2]], parents.x[picks[1:even:2]],
+                           sbx_draws, cfg, spec.lower, spec.upper)
+    children = np.empty((n, d))
+    children[0:even:2] = polynomial_mutation(c1, pm1_draws, cfg, spec.lower, spec.upper)
+    children[1:even:2] = polynomial_mutation(c2, pm2_draws, cfg, spec.lower, spec.upper)
+    if n % 2:
+        children[-1] = polynomial_mutation(parents.x[picks[-1:]], rng.random((1, 2 * d)),
+                                           cfg, spec.lower, spec.upper)
     return Population(children, generation_index=parents.generation_index + 1)
 
 
@@ -242,19 +221,16 @@ def cso_step(pop: Population, rng: np.random.Generator, problem: Problem) -> Pop
     if not pop.all_evaluated:
         raise ContractViolation("competitive-swarm step requires an evaluated population")
     spec = problem.spec
-    rank, crowd = rank_and_crowding(pop)
+    # the earlier merit place wins; rank already encodes constrained dominance
+    place = np.argsort(_merit_order(pop))
     perm = rng.permutation(len(pop))
+    i, j = perm[:len(pop) - len(pop) % 2].reshape(-1, 2).T  # consecutive entries pair up
+    i_wins = place[i] <= place[j]
+    win, lose = np.where(i_wins, i, j), np.where(i_wins, j, i)
+    r = rng.random((len(i), spec.d))
     x, f, cv = pop.x.copy(), pop.f.copy(), pop.cv.copy()
-    for k in range(0, len(pop) - 1, 2):
-        i, j = int(perm[k]), int(perm[k + 1])
-        # winner by (rank, -crowding, index); rank already encodes constrained dominance
-        a = (rank[i], -crowd[i], i)
-        b = (rank[j], -crowd[j], j)
-        win, lose = (i, j) if a <= b else (j, i)
-        r = rng.random(spec.d)
-        moved = pop.x[lose] + r * (pop.x[win] - pop.x[lose])
-        x[lose] = np.clip(moved, spec.lower, spec.upper)
-        f[lose], cv[lose] = np.nan, np.nan
+    x[lose] = np.clip(pop.x[lose] + r * (pop.x[win] - pop.x[lose]), spec.lower, spec.upper)
+    f[lose], cv[lose] = np.nan, np.nan
     return Population(x, f, cv, pop.generation_index + 1)
 
 

@@ -14,13 +14,10 @@ __all__ = [
     "make_problem",
 ]
 
-_ZDT_VARIANTS = (1, 2, 3, 4, 6)
-_LSMOP_VARIANTS = tuple(range(1, 10))
-
 
 def available_problems() -> list[str]:
-    names = [f"zdt{v}" for v in _ZDT_VARIANTS]
-    names += [f"lsmop{v}" for v in _LSMOP_VARIANTS]
+    names = [f"zdt{v}" for v in ZdtProblem.VARIANTS]
+    names += [f"lsmop{v}" for v in LsmopProblem.VARIANTS]
     names.append("shift")
     return names
 
@@ -32,19 +29,13 @@ def make_problem(name: str, d: int | None = None, m: int | None = None, **kwargs
     family defaults to d=8, m=2.
     """
     key = name.strip().lower()
-    if key.startswith("zdt"):
-        variant = int(key[3:])
-        if variant not in _ZDT_VARIANTS:
-            raise ConfigError(f"unknown problem {name!r}")
+    if key.startswith("zdt") and key[3:].isdigit():
         if m not in (None, 2):
             raise ConfigError("ZDT problems are bi-objective; omit m or pass m=2")
-        return ZdtProblem(variant, d=30 if d is None else d)
-    if key.startswith("lsmop"):
-        variant = int(key[5:])
-        if variant not in _LSMOP_VARIANTS:
-            raise ConfigError(f"unknown problem {name!r}")
+        return ZdtProblem(int(key[3:]), d=30 if d is None else d)
+    if key.startswith("lsmop") and key[5:].isdigit():
         m = 3 if m is None else m
-        return LsmopProblem(variant, d=100 * m if d is None else d, m=m)
+        return LsmopProblem(int(key[5:]), d=100 * m if d is None else d, m=m)
     if key == "shift":
         return ShiftClusterProblem(d=8 if d is None else d, m=2 if m is None else m, **kwargs)
     raise ConfigError(f"unknown problem {name!r} (known: {', '.join(available_problems())})")

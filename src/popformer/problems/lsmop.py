@@ -8,6 +8,7 @@ nonlinear), landscape pair, objective correlation and front shape.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -25,36 +26,35 @@ CHAOS_SEED = 0.1
 LSMOP9_FRONT_INTERVALS = ((0.0, 0.251412), (0.631627, 0.859401))
 
 
-def _sphere(v: np.ndarray) -> float:
-    return float(np.dot(v, v))
+# Landscape functions score each row of (..., n) variables along the last axis.
+def _sphere(v: np.ndarray) -> np.ndarray:
+    return np.sum(v * v, axis=-1)
 
 
-def _schwefel(v: np.ndarray) -> float:
-    return float(np.max(np.abs(v)))
+def _schwefel(v: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(v), axis=-1)
 
 
-def _rosenbrock(v: np.ndarray) -> float:
-    if v.size < 2:
-        return 0.0
-    a, b = v[:-1], v[1:]
-    return float(np.sum(100.0 * (a * a - b) ** 2 + (a - 1.0) ** 2))
+def _rosenbrock(v: np.ndarray) -> np.ndarray:
+    a, b = v[..., :-1], v[..., 1:]
+    return np.sum(100.0 * (a * a - b) ** 2 + (a - 1.0) ** 2, axis=-1)
 
 
-def _rastrigin(v: np.ndarray) -> float:
-    return float(np.sum(v * v - 10.0 * np.cos(2.0 * np.pi * v) + 10.0))
+def _rastrigin(v: np.ndarray) -> np.ndarray:
+    return np.sum(v * v - 10.0 * np.cos(2.0 * np.pi * v) + 10.0, axis=-1)
 
 
-def _griewank(v: np.ndarray) -> float:
-    idx = np.sqrt(np.arange(1, v.size + 1, dtype=float))
-    return float(np.dot(v, v) / 4000.0 - np.prod(np.cos(v / idx)) + 1.0)
+def _griewank(v: np.ndarray) -> np.ndarray:
+    idx = np.sqrt(np.arange(1, v.shape[-1] + 1, dtype=float))
+    return _sphere(v) / 4000.0 - np.prod(np.cos(v / idx), axis=-1) + 1.0
 
 
-def _ackley(v: np.ndarray) -> float:
-    k = v.size
-    return float(
+def _ackley(v: np.ndarray) -> np.ndarray:
+    k = v.shape[-1]
+    return (
         20.0
-        - 20.0 * np.exp(-0.2 * np.sqrt(np.dot(v, v) / k))
-        - np.exp(np.sum(np.cos(2.0 * np.pi * v)) / k)
+        - 20.0 * np.exp(-0.2 * np.sqrt(_sphere(v) / k))
+        - np.exp(np.sum(np.cos(2.0 * np.pi * v), axis=-1) / k)
         + np.e
     )
 
@@ -90,23 +90,18 @@ def simplex_lattice(n: int, m: int) -> np.ndarray:
     h = 1
     while math.comb(h + m - 1, m - 1) < n:
         h += 1
-    points = []
-
-    def fill(prefix, remaining, slots):
-        if slots == 1:
-            points.append(prefix + [remaining])
-            return
-        for k in range(remaining + 1):
-            fill(prefix + [k], remaining - k, slots - 1)
-
-    fill([], h, m)
-    lattice = np.array(points, dtype=float) / h
+    # stars and bars: m - 1 bars among h + m - 1 slots, in lexicographic order
+    bars = np.array(list(itertools.combinations(range(h + m - 1), m - 1)))
+    edges = np.column_stack([np.full(len(bars), -1), bars, np.full(len(bars), h + m - 1)])
+    lattice = (np.diff(edges, axis=1) - 1) / h
     take = np.linspace(0, len(lattice) - 1, n).round().astype(int)
     return lattice[take]
 
 
 class LsmopProblem(Problem):
     """Scalable suite: d decision variables, m objectives, deterministic evaluation."""
+
+    VARIANTS = tuple(_VARIANTS)
 
     def __init__(self, variant: int, d: int, m: int = 3):
         if variant not in _VARIANTS:
@@ -135,40 +130,39 @@ class LsmopProblem(Problem):
 
     def _group_values(self, x: np.ndarray) -> np.ndarray:
         m = self.spec.m
-        xs = self._link * x[m - 1:] - 10.0 * x[0]
-        g = np.empty(m)
+        xs = self._link * x[..., m - 1:] - 10.0 * x[..., :1]
+        g = []
         for i in range(m):
             eta = self.eta_odd if i % 2 == 0 else self.eta_even
             width = self.sublen[i]
             base = self.group_start[i]
-            total = 0.0
-            for j in range(N_SUBCOMPONENTS):
-                lo = base + j * width
-                total += eta(xs[lo:lo + width])
-            g[i] = total / (width * N_SUBCOMPONENTS)
-        return g
+            chunks = xs[..., base:base + N_SUBCOMPONENTS * width]
+            chunks = chunks.reshape(xs.shape[:-1] + (N_SUBCOMPONENTS, width))
+            g.append(eta(chunks).sum(axis=-1) / (width * N_SUBCOMPONENTS))
+        return np.stack(g, axis=-1)
 
     def objectives(self, x: np.ndarray) -> np.ndarray:
         m = self.spec.m
-        xf = x[:m - 1]
+        xf = x[..., :m - 1]
         g = self._group_values(x)
+        ones = np.ones(x.shape[:-1] + (1,))
         if self.shape == "linear":
-            prods = np.cumprod(np.concatenate([[1.0], xf]))[::-1]
-            last = np.concatenate([[1.0], 1.0 - xf[::-1]])
+            prods = np.cumprod(np.concatenate([ones, xf], axis=-1), axis=-1)[..., ::-1]
+            last = np.concatenate([ones, 1.0 - xf[..., ::-1]], axis=-1)
             return (1.0 + g) * prods * last
         if self.shape == "concave":
-            g_next = np.concatenate([g[1:], [0.0]])
-            prods = np.cumprod(np.concatenate([[1.0], np.cos(0.5 * np.pi * xf)]))[::-1]
-            last = np.concatenate([[1.0], np.sin(0.5 * np.pi * xf[::-1])])
+            g_next = np.concatenate([g[..., 1:], np.zeros_like(ones)], axis=-1)
+            prods = np.cumprod(np.concatenate([ones, np.cos(0.5 * np.pi * xf)], axis=-1),
+                               axis=-1)[..., ::-1]
+            last = np.concatenate([ones, np.sin(0.5 * np.pi * xf[..., ::-1])], axis=-1)
             return (1.0 + g + g_next) * prods * last
         # disconnected: first m-1 objectives are the position variables themselves
-        g_total = 1.0 + g.sum()
-        f = np.empty(m)
-        f[:m - 1] = xf
-        f[m - 1] = (1.0 + g_total) * (
-            m - np.sum(xf / (1.0 + g_total) * (1.0 + np.sin(3.0 * np.pi * xf)))
+        g_total = 1.0 + g.sum(axis=-1, keepdims=True)
+        last = (1.0 + g_total) * (
+            m - np.sum(xf / (1.0 + g_total) * (1.0 + np.sin(3.0 * np.pi * xf)),
+                       axis=-1, keepdims=True)
         )
-        return f
+        return np.concatenate([xf, last], axis=-1)
 
     def reference_front(self, n: int) -> np.ndarray:
         if n < 1:

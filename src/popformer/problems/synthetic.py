@@ -33,8 +33,8 @@ class ShiftClusterProblem(Problem):
         self._anchors = np.linspace(0.0, 1.0, m)[:, None] * np.ones(d)
 
     def objectives(self, x: np.ndarray) -> np.ndarray:
-        diff = x[None, :] - self._anchors
-        return np.mean(diff * diff, axis=1)
+        diff = x[..., None, :] - self._anchors
+        return np.mean(diff * diff, axis=-1)
 
     def random_base(self, rng: np.random.Generator) -> np.ndarray:
         """A base point that keeps the whole cluster and its target in the box."""

@@ -70,18 +70,18 @@ class ZdtProblem(Problem):
 
     def objectives(self, x: np.ndarray) -> np.ndarray:
         d = self.spec.d
-        tail = x[1:]
+        x0, tail = x[..., 0], x[..., 1:]
         if self.variant in (1, 2, 3):
-            g = 1.0 + 9.0 * tail.sum() / (d - 1)
+            g = 1.0 + 9.0 * tail.sum(axis=-1) / (d - 1)
         elif self.variant == 4:
-            g = 1.0 + 10.0 * (d - 1) + np.sum(tail * tail - 10.0 * np.cos(4.0 * np.pi * tail))
+            g = 1.0 + 10.0 * (d - 1) + (tail * tail - 10.0 * np.cos(4.0 * np.pi * tail)).sum(-1)
         else:  # variant 6
-            g = 1.0 + 9.0 * (tail.sum() / (d - 1)) ** 0.25
+            g = 1.0 + 9.0 * (tail.sum(axis=-1) / (d - 1)) ** 0.25
 
         if self.variant == 6:
-            f1 = 1.0 - np.exp(-4.0 * x[0]) * np.sin(6.0 * np.pi * x[0]) ** 6
+            f1 = 1.0 - np.exp(-4.0 * x0) * np.sin(6.0 * np.pi * x0) ** 6
         else:
-            f1 = x[0]
+            f1 = x0
 
         ratio = f1 / g
         if self.variant in (1, 4):
@@ -90,7 +90,7 @@ class ZdtProblem(Problem):
             f2 = g * (1.0 - ratio ** 2)
         else:  # variant 3
             f2 = g * (1.0 - np.sqrt(ratio) - ratio * np.sin(10.0 * np.pi * f1))
-        return np.array([f1, f2])
+        return np.stack([f1, f2], axis=-1)
 
     def reference_front(self, n: int) -> np.ndarray:
         if n < 1:

@@ -19,6 +19,7 @@ from popformer.bench import (
     run_benchmark,
     summarize,
 )
+from popformer.cli import main
 from popformer.errors import ConfigError
 
 TINY = ExperimentConfig(
@@ -122,6 +123,41 @@ class TestRunBenchmark:
                              arms=(ArmSpec("nsga2"),), reference_arm="missing")
         with pytest.raises(ConfigError):
             ArmSpec("unknown-kind")
+
+    GOOD = {"problems": [{"name": "zdt1", "d": 8}], "arms": [{"kind": "nsga2"}],
+            "n_pop": 8, "evals": 16, "n_seeds": 1, "reference_arm": "nsga2"}
+
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        json.dumps([GOOD]),
+        json.dumps({k: v for k, v in GOOD.items() if k != "problems"}),
+        json.dumps({**GOOD, "n_pops": 8}),
+        json.dumps({**GOOD, "arms": [{"kind": "nsga2", "steps": 1}]}),
+        json.dumps({**GOOD, "n_pop": "10"}),
+        json.dumps({**GOOD, "evals": 16.0}),
+        json.dumps({**GOOD, "problems": [{"name": "zdt1", "d": "8"}]}),
+        json.dumps({**GOOD, "arms": [{"kind": "nsga2", "steps_per_generation": True}]}),
+        json.dumps({**GOOD, "n_pop": 1, "evals": 0}),
+        json.dumps({**GOOD, "evals": 7}),
+        json.dumps({**GOOD, "problems": []}),
+        json.dumps({**GOOD, "arms": []}),
+        json.dumps({**GOOD, "alpha": 0}),
+        json.dumps({**GOOD, "alpha": 1.5}),
+    ], ids=["malformed", "not-an-object", "no-problems", "unknown-key", "unknown-arm-key",
+            "string-int", "float-int", "string-d", "bool-int", "n_pop-1", "evals-below-n_pop",
+            "empty-problems", "empty-arms", "alpha-0", "alpha-1.5"])
+    def test_bad_config_rejected_before_any_cell(self, text, tmp_path, capsys):
+        path = tmp_path / "grid.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="grid.json"):
+            ExperimentConfig.from_json(text, source=str(path))
+        assert main(["benchmark", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "ConfigError" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_good_config_accepted(self):
+        cfg = ExperimentConfig.from_json(json.dumps(self.GOOD), source="grid.json")
+        assert cfg.problems == (ProblemCase("zdt1", d=8),) and cfg.evals == 16
 
     def test_config_json_round_trip(self):
         text = TINY.to_json()

@@ -26,12 +26,14 @@ class SquareProblem(Problem):
         self.spec = ProblemSpec.unit_box("square", d, 2)
 
     def objectives(self, x):
-        return np.array([np.sum(x * x), np.sum((x - 1.0) ** 2)])
+        return np.stack([np.sum(x * x, axis=-1), np.sum((x - 1.0) ** 2, axis=-1)], axis=-1)
 
 
 class NanProblem(SquareProblem):
     def objectives(self, x):
-        return np.array([np.nan, 1.0])
+        f = super().objectives(x)
+        f[..., 0] = np.nan
+        return f
 
 
 class TestDominance:
@@ -170,6 +172,28 @@ class TestEvaluate:
         prob = SquareProblem()
         with pytest.raises(ContractViolation):
             prob.evaluate_solution(np.array([2.0, 0.0, 0.0]))
+
+    def test_block_that_raises_charges_nothing(self):
+        class RaisesOnMarkedRow(SquareProblem):
+            def objectives(self, x):
+                if np.any(x[..., 0] == 0.5):
+                    raise RuntimeError("evaluator crashed")
+                return super().objectives(x)
+
+        xs = np.random.default_rng(0).uniform(0.6, 1.0, (5, 3))
+        xs[3, 0] = 0.5  # row 3 of 5 raises
+        budget = EvaluationBudget(10)
+        with pytest.raises(RuntimeError, match="evaluator crashed"):
+            evaluate(Population(xs), RaisesOnMarkedRow(), budget)
+        assert budget.used == 0
+
+    def test_out_of_bounds_row_named(self):
+        xs = np.full((4, 3), 0.5)
+        xs[2, 1] = 1.5
+        budget = EvaluationBudget(10)
+        with pytest.raises(ContractViolation, match="row 2 out of bounds"):
+            evaluate(Population(xs), SquareProblem(), budget)
+        assert budget.used == 0
 
 
 class TestBudget:

@@ -24,7 +24,7 @@ from popformer import (
     sbx_crossover,
 )
 from popformer.dataset import TrajectorySink
-from popformer.errors import ContractViolation
+from popformer.errors import ConfigError, ContractViolation
 from popformer.moea import run_generational, sbx_pm_offspring
 from popformer.selftest import brute_force_ranks
 
@@ -37,6 +37,102 @@ def make_pop(objs, cvs=None):
 
 def evaluated(problem, xs):
     return evaluate(Population(xs), problem, EvaluationBudget(len(xs)))
+
+
+# ---------------------------------------------------------------------------
+# per-pair reference variation: the loop form the array operators replace
+
+
+def reference_rank_and_crowding(pop):
+    rank = brute_force_ranks(pop)
+    crowd = np.zeros(len(pop))
+    for r in set(rank):
+        idx = np.flatnonzero(rank == r)
+        crowd[idx] = crowding_distance(pop.f[idx])
+    return rank, crowd
+
+
+def reference_tournament(rank, crowd, rng, count):
+    n = len(rank)
+    picks = np.empty(count, dtype=int)
+    for t in range(count):
+        i, j = rng.integers(0, n, size=2)
+        a = (rank[i], -crowd[i], i)
+        b = (rank[j], -crowd[j], j)
+        picks[t] = i if a <= b else j
+    return picks
+
+
+def reference_sbx_crossover(a, b, cfg, rng, lower, upper):
+    c1, c2 = a.copy(), b.copy()
+    if rng.random() > cfg.sbx_prob:
+        return c1, c2
+    eta = cfg.sbx_eta
+    do_var = rng.random(a.size) <= 0.5
+    u = rng.random(a.size)
+    swap = rng.random(a.size) <= 0.5
+    for i in range(a.size):
+        if not do_var[i] or abs(a[i] - b[i]) < 1e-14:
+            continue
+        y1, y2 = (a[i], b[i]) if a[i] < b[i] else (b[i], a[i])
+        span = y2 - y1
+        beta_l = 1.0 + 2.0 * (y1 - lower[i]) / span
+        beta_u = 1.0 + 2.0 * (upper[i] - y2) / span
+        r = u[i]
+
+        def child(beta):
+            alpha = 2.0 - beta ** -(eta + 1.0)
+            if r <= 1.0 / alpha:
+                return (r * alpha) ** (1.0 / (eta + 1.0))
+            return (1.0 / (2.0 - r * alpha)) ** (1.0 / (eta + 1.0))
+
+        v1 = 0.5 * ((y1 + y2) - child(beta_l) * span)
+        v2 = 0.5 * ((y1 + y2) + child(beta_u) * span)
+        v1 = min(max(v1, lower[i]), upper[i])
+        v2 = min(max(v2, lower[i]), upper[i])
+        if swap[i]:
+            v1, v2 = v2, v1
+        c1[i], c2[i] = v1, v2
+    return c1, c2
+
+
+def reference_polynomial_mutation(x, cfg, rng, lower, upper):
+    x = x.copy()
+    prob = cfg.pm_prob if cfg.pm_prob is not None else 1.0 / x.size
+    eta = cfg.pm_eta
+    do_var = rng.random(x.size) <= prob
+    u = rng.random(x.size)
+    for i in np.flatnonzero(do_var):
+        span = upper[i] - lower[i]
+        d1 = (x[i] - lower[i]) / span
+        d2 = (upper[i] - x[i]) / span
+        r = u[i]
+        mut_pow = 1.0 / (eta + 1.0)
+        if r < 0.5:
+            val = 2.0 * r + (1.0 - 2.0 * r) * (1.0 - d1) ** (eta + 1.0)
+            delta = val ** mut_pow - 1.0
+        else:
+            val = 2.0 * (1.0 - r) + 2.0 * (r - 0.5) * (1.0 - d2) ** (eta + 1.0)
+            delta = 1.0 - val ** mut_pow
+        x[i] = min(max(x[i] + delta * span, lower[i]), upper[i])
+    return x
+
+
+def reference_sbx_pm_offspring(parents, cfg, rng, problem):
+    lower, upper = problem.spec.lower, problem.spec.upper
+    rank, crowd = reference_rank_and_crowding(parents)
+    n = len(parents)
+    picks = reference_tournament(rank, crowd, rng, n)
+    children = np.empty((n, problem.spec.d))
+    for k in range(0, n - 1, 2):
+        c1, c2 = reference_sbx_crossover(parents.x[picks[k]], parents.x[picks[k + 1]], cfg,
+                                         rng, lower, upper)
+        children[k] = reference_polynomial_mutation(c1, cfg, rng, lower, upper)
+        children[k + 1] = reference_polynomial_mutation(c2, cfg, rng, lower, upper)
+    if n % 2:
+        children[-1] = reference_polynomial_mutation(parents.x[picks[-1]], cfg, rng,
+                                                     lower, upper)
+    return children
 
 
 class TestSort:
@@ -90,6 +186,24 @@ class TestCrowding:
 
     def test_empty_front(self):
         assert crowding_distance(np.empty((0, 2))).size == 0
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_boundaries_infinite_and_scores_invariant(self, data):
+        n = data.draw(st.integers(1, 12), label="n")
+        m = data.draw(st.integers(2, 4), label="m")
+        objs = np.array(data.draw(st.lists(st.lists(st.integers(0, 20), min_size=m, max_size=m),
+                                           min_size=n, max_size=n), label="objs"), dtype=float)
+        perm = np.array(data.draw(st.permutations(range(m)), label="perm"))
+        scale = np.array(data.draw(st.lists(st.floats(0.01, 100.0), min_size=m, max_size=m),
+                                   label="scale"))
+        scores = crowding_distance(objs)
+        for col in objs.T:
+            # some member at each end of every objective is a boundary member
+            assert np.isinf(scores[col == col.min()]).any()
+            assert np.isinf(scores[col == col.max()]).any()
+        for moved in (objs[:, perm], objs * scale):
+            assert np.allclose(crowding_distance(moved), scores, rtol=1e-12, atol=0.0)
 
 
 class TestSelect:
@@ -147,11 +261,7 @@ class TestSelect:
         n = data.draw(st.integers(1, n_pop), label="n")
         pop = make_pop(objs, cvs)
         out = nsga2_select(pop, n)
-        rank = brute_force_ranks(pop)
-        crowd = np.zeros(n_pop)
-        for r in set(rank):
-            idx = np.flatnonzero(rank == r)
-            crowd[idx] = crowding_distance(objs[idx])
+        rank, crowd = reference_rank_and_crowding(pop)
         assert len(set(out)) == n
         # whole fronts in rank order: every better-ranked member is kept
         assert np.all(np.diff(rank[out]) >= 0)
@@ -170,68 +280,90 @@ class TestVariation:
     LOWER = np.zeros(6)
     UPPER = np.ones(6)
 
+    def sbx(self, a, b, rng):
+        """SBX of the rows of ``a`` and ``b`` with draws from ``rng``."""
+        a, b = np.atleast_2d(a), np.atleast_2d(b)
+        return sbx_crossover(a, b, rng.random((len(a), 1 + 3 * a.shape[1])), self.CFG,
+                             self.LOWER, self.UPPER)
+
+    def pm(self, x, cfg, rng):
+        """Polynomial mutation of the rows of ``x`` with draws from ``rng``."""
+        x = np.atleast_2d(x)
+        return polynomial_mutation(x, rng.random((len(x), 2 * x.shape[1])), cfg,
+                                   self.LOWER, self.UPPER)
+
     def test_sbx_identical_parents_identical_children(self):
         p = np.full(6, 0.3)
-        c1, c2 = sbx_crossover(p, p, self.CFG, np.random.default_rng(0), self.LOWER, self.UPPER)
-        assert np.array_equal(c1, p) and np.array_equal(c2, p)
+        c1, c2 = self.sbx(p, p, np.random.default_rng(0))
+        assert np.array_equal(c1[0], p) and np.array_equal(c2[0], p)
 
     def test_sbx_reproducible_under_seed(self):
         a, b = np.full(6, 0.2), np.full(6, 0.8)
-        r1 = sbx_crossover(a, b, self.CFG, np.random.default_rng(42), self.LOWER, self.UPPER)
-        r2 = sbx_crossover(a, b, self.CFG, np.random.default_rng(42), self.LOWER, self.UPPER)
+        r1 = self.sbx(a, b, np.random.default_rng(42))
+        r2 = self.sbx(a, b, np.random.default_rng(42))
         assert np.array_equal(r1[0], r2[0]) and np.array_equal(r1[1], r2[1])
 
     def test_sbx_mean_preservation_monte_carlo(self):
-        a, b = np.full(6, 0.4), np.full(6, 0.6)
-        rng = np.random.default_rng(7)
-        mids = []
-        for _ in range(10_000):
-            c1, c2 = sbx_crossover(a, b, self.CFG, rng, self.LOWER, self.UPPER)
-            mids.append((c1 + c2) / 2)
-        mids = np.array(mids)
+        a, b = np.full((10_000, 6), 0.4), np.full((10_000, 6), 0.6)
+        c1, c2 = self.sbx(a, b, np.random.default_rng(7))
+        mids = (c1 + c2) / 2
         se = mids.std(axis=0) / np.sqrt(len(mids))
         assert np.all(np.abs(mids.mean(axis=0) - 0.5) <= 3 * se + 1e-12)
 
     def test_sbx_children_in_bounds_extreme_parents(self):
         rng = np.random.default_rng(9)
-        for _ in range(500):
-            a = rng.choice([0.0, 1.0], size=6) * rng.random(6)
-            b = rng.random(6)
-            c1, c2 = sbx_crossover(a, b, self.CFG, rng, self.LOWER, self.UPPER)
-            for c in (c1, c2):
-                assert np.all(c >= 0.0) and np.all(c <= 1.0)
+        a = rng.choice([0.0, 1.0], size=(500, 6)) * rng.random((500, 6))
+        b = rng.random((500, 6))
+        for c in self.sbx(a, b, rng):
+            assert np.all(c >= 0.0) and np.all(c <= 1.0)
 
     def test_pm_zero_probability_identity(self):
         cfg = VariationConfig(pm_prob=0.0)
         x = np.full(6, 0.3)
-        out = polynomial_mutation(x, cfg, np.random.default_rng(0), self.LOWER, self.UPPER)
-        assert np.array_equal(out, x)
+        out = self.pm(x, cfg, np.random.default_rng(0))
+        assert np.array_equal(out[0], x)
 
     def test_pm_reproducible(self):
         cfg = VariationConfig(pm_prob=1.0)
         x = np.full(6, 0.5)
-        a = polynomial_mutation(x, cfg, np.random.default_rng(5), self.LOWER, self.UPPER)
-        b = polynomial_mutation(x, cfg, np.random.default_rng(5), self.LOWER, self.UPPER)
+        a = self.pm(x, cfg, np.random.default_rng(5))
+        b = self.pm(x, cfg, np.random.default_rng(5))
         assert np.array_equal(a, b)
 
     def test_pm_symmetric_at_midpoint_monte_carlo(self):
         cfg = VariationConfig(pm_prob=1.0)
-        x = np.full(6, 0.5)
-        rng = np.random.default_rng(8)
-        deltas = np.array([
-            polynomial_mutation(x, cfg, rng, self.LOWER, self.UPPER) - 0.5
-            for _ in range(10_000)
-        ])
+        x = np.full((10_000, 6), 0.5)
+        deltas = self.pm(x, cfg, np.random.default_rng(8)) - 0.5
         se = deltas.std(axis=0) / np.sqrt(len(deltas))
         assert np.all(np.abs(deltas.mean(axis=0)) <= 3 * se)
 
     def test_pm_stays_in_bounds(self):
         cfg = VariationConfig(pm_prob=1.0)
         rng = np.random.default_rng(10)
-        for _ in range(500):
-            x = rng.random(6)
-            out = polynomial_mutation(x, cfg, rng, self.LOWER, self.UPPER)
-            assert np.all(out >= 0.0) and np.all(out <= 1.0)
+        out = self.pm(rng.random((500, 6)), cfg, rng)
+        assert np.all(out >= 0.0) and np.all(out <= 1.0)
+
+    @pytest.mark.parametrize("field", ["sbx_eta", "pm_eta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0])
+    def test_distribution_index_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ConfigError):
+            VariationConfig(**{field: value})
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(2, 15), d=st.integers(2, 8), name=st.sampled_from(["zdt1", "zdt4"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_offspring_match_per_pair_reference(self, n, d, name, seed):
+        # zdt4 bounds are [0, 1] for x0 and [-5, 5] elsewhere
+        prob = make_problem(name, d=d)
+        rng = np.random.default_rng(seed)
+        parents = evaluated(prob, rng.uniform(prob.spec.lower, prob.spec.upper, (n, d)))
+        ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        got = sbx_pm_offspring(parents, self.CFG, ours, prob).x
+        want = reference_sbx_pm_offspring(parents, self.CFG, theirs, prob)
+        span = prob.spec.upper - prob.spec.lower
+        # numpy's array power and Python's scalar pow may differ in the last bit
+        assert np.all(np.abs(got - want) <= 1e-12 * span)
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 class TestCso:

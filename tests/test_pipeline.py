@@ -90,7 +90,7 @@ class TestCollect:
         class Exploding:
             spec = make_problem("zdt1", d=8).spec
 
-            def evaluate_solution(self, x):
+            def evaluate_batch(self, x):
                 raise RuntimeError("boom")
 
         good = make_problem("zdt1", d=8)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from popformer import make_problem
-from popformer.errors import ConfigError, UnsupportedFront
-from popformer.problems import LsmopProblem, ShiftClusterProblem, ZdtProblem
+from popformer.errors import ConfigError, ContractViolation, UnsupportedFront
+from popformer.problems import LsmopProblem, ShiftClusterProblem, ZdtProblem, available_problems
 from popformer.problems.lsmop import N_SUBCOMPONENTS, chaos_fractions, simplex_lattice
 from popformer.problems.zdt import ZDT3_FRONT_INTERVALS, ZDT6_F1_MIN
 
@@ -15,6 +15,26 @@ def mutually_nondominated(points: np.ndarray) -> bool:
     lt = np.any(points[:, None, :] < points[None, :, :], axis=2)
     dom = le & lt
     return not dom.any()
+
+
+def zdt_reference(variant, x):
+    """Independent transcription of the published formulas, plain Python."""
+    d = len(x)
+    s = sum(x[1:])
+    if variant in (1, 2, 3):
+        g = 1 + 9 * s / (d - 1)
+    elif variant == 4:
+        g = 1 + 10 * (d - 1) + sum(v * v - 10 * math.cos(4 * math.pi * v) for v in x[1:])
+    else:
+        g = 1 + 9 * (s / (d - 1)) ** 0.25
+    f1 = 1 - math.exp(-4 * x[0]) * math.sin(6 * math.pi * x[0]) ** 6 if variant == 6 else x[0]
+    if variant in (1, 4):
+        f2 = g * (1 - math.sqrt(f1 / g))
+    elif variant in (2, 6):
+        f2 = g * (1 - (f1 / g) ** 2)
+    else:
+        f2 = g * (1 - math.sqrt(f1 / g) - (f1 / g) * math.sin(10 * math.pi * f1))
+    return np.array([f1, f2])
 
 
 # ---------------------------------------------------------------------------
@@ -40,30 +60,11 @@ class TestZdtValues:
 
     @pytest.mark.parametrize("variant", [1, 2, 3, 4, 6])
     def test_matches_scalar_reference(self, variant):
-        # independent transcription of the published formulas, plain Python
-        def reference(x):
-            d = len(x)
-            s = sum(x[1:])
-            if variant in (1, 2, 3):
-                g = 1 + 9 * s / (d - 1)
-            elif variant == 4:
-                g = 1 + 10 * (d - 1) + sum(v * v - 10 * math.cos(4 * math.pi * v) for v in x[1:])
-            else:
-                g = 1 + 9 * (s / (d - 1)) ** 0.25
-            f1 = 1 - math.exp(-4 * x[0]) * math.sin(6 * math.pi * x[0]) ** 6 if variant == 6 else x[0]
-            if variant in (1, 4):
-                f2 = g * (1 - math.sqrt(f1 / g))
-            elif variant in (2, 6):
-                f2 = g * (1 - (f1 / g) ** 2)
-            else:
-                f2 = g * (1 - math.sqrt(f1 / g) - (f1 / g) * math.sin(10 * math.pi * f1))
-            return np.array([f1, f2])
-
         prob = ZdtProblem(variant, 12)
         rng = np.random.default_rng(variant)
         for _ in range(25):
             x = rng.uniform(prob.spec.lower, prob.spec.upper)
-            assert np.allclose(prob.objectives(x), reference(list(x)), rtol=1e-12)
+            assert np.allclose(prob.objectives(x), zdt_reference(variant, list(x)), rtol=1e-12)
 
     def test_bounds_per_variant(self):
         z1 = ZdtProblem(1, 5)
@@ -314,6 +315,56 @@ class TestShiftFamily:
         assert make_problem("lsmop7", d=250, m=10).spec.name == "lsmop7"
         assert make_problem("shift", d=6).spec.d == 6
 
+    @pytest.mark.parametrize("name", ["zdtx", "lsmop", "zdt7", "lsmop10", "dtlz2"])
+    def test_malformed_or_unknown_names_rejected(self, name):
+        with pytest.raises(ConfigError):
+            make_problem(name)
+
     def test_unsupported_front_error(self):
         with pytest.raises(UnsupportedFront):
             make_problem("shift").reference_front(10)
+
+
+# ---------------------------------------------------------------------------
+# row-block evaluation
+
+
+def shift_reference(problem: ShiftClusterProblem, x: np.ndarray) -> np.ndarray:
+    """Mean squared distance to each of the m anchors spaced evenly on the diagonal."""
+    d, m = problem.spec.d, problem.spec.m
+    anchors = [k / (m - 1) for k in range(m)]
+    return np.array([sum((v - a) ** 2 for v in x) / d for a in anchors])
+
+
+def registered_cases():
+    """Every registry name, LSMOP at m = 2, 3 and 5, with its reference oracle."""
+    for v in (1, 2, 3, 4, 6):
+        yield f"zdt{v}", {"d": 12}, lambda p, x, v=v: zdt_reference(v, list(x))
+    for v in range(1, 10):
+        for m in (2, 3, 5):
+            yield f"lsmop{v}", {"d": 60 * m, "m": m}, lsmop_reference
+    yield "shift", {"d": 8, "m": 3}, shift_reference
+
+
+class TestEvaluateBatch:
+    def test_cases_cover_the_registry(self):
+        assert {name for name, _, _ in registered_cases()} == set(available_problems())
+
+    @pytest.mark.parametrize("name,kwargs,reference", list(registered_cases()),
+                             ids=[f"{n}-{k.get('m', 2)}" for n, k, _ in registered_cases()])
+    def test_rows_match_one_row_evaluation_and_reference(self, name, kwargs, reference):
+        prob = make_problem(name, **kwargs)
+        xs = np.random.default_rng(5).uniform(prob.spec.lower, prob.spec.upper,
+                                              (5, prob.spec.d))
+        f, cv = prob.evaluate_batch(xs)
+        assert f.shape == (5, prob.spec.m) and np.array_equal(cv, np.zeros(5))
+        for x, row in zip(xs, f):
+            one, one_cv = prob.evaluate_solution(x)
+            assert np.array_equal(row, one) and one_cv == 0.0
+            assert np.allclose(row, reference(prob, x), rtol=1e-12, atol=0.0)
+
+    def test_rejects_wrong_shape(self):
+        prob = make_problem("zdt1", d=6)
+        for bad in (np.zeros(6), np.zeros((2, 5)), np.zeros((1, 2, 6))):
+            with pytest.raises(ContractViolation):
+                prob.evaluate_batch(bad)
