@@ -113,19 +113,32 @@ class Population:
     def all_evaluated(self) -> bool:
         return bool(self.evaluated.all())
 
+    @classmethod
+    def _derived(cls, *fields) -> "Population":
+        """A population of rows cut from validated populations, which
+        therefore passes every check: its arrays are frozen, not re-checked."""
+        pop = object.__new__(cls)
+        for name, value in zip(("x", "f", "cv", "generation_index"), fields):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(pop, name, value)
+        return pop
+
     def take(self, idx, generation_index: int | None = None) -> "Population":
         """The members at ``idx``, in that order, optionally as another generation."""
+        if generation_index is not None and generation_index < 0:
+            raise ContractViolation("generation index must be non-negative")
         f, cv = (None, None) if self.f is None else (self.f[idx], self.cv[idx])
-        return Population(self.x[idx], f, cv, self.generation_index
-                          if generation_index is None else generation_index)
+        return Population._derived(self.x[idx], f, cv, self.generation_index
+                                   if generation_index is None else generation_index)
 
     def concat(self, other: "Population") -> "Population":
         """These members followed by ``other``'s, both fully evaluated."""
         if not (self.all_evaluated and other.all_evaluated):
             raise ContractViolation("concat requires fully evaluated populations")
-        return Population(np.concatenate([self.x, other.x]),
-                          np.concatenate([self.f, other.f]),
-                          np.concatenate([self.cv, other.cv]), self.generation_index)
+        return Population._derived(np.concatenate([self.x, other.x]),
+                                   np.concatenate([self.f, other.f]),
+                                   np.concatenate([self.cv, other.cv]), self.generation_index)
 
 
 def dominates(a: np.ndarray, b: np.ndarray) -> bool:

@@ -14,11 +14,11 @@ Training decodes whole target sequences at once under a causal mask
 tape pass. Generation decodes one row per offspring through a
 :class:`DecoderCache`, which keeps every decoder layer's self-attention keys
 and values of the rows already decoded and the cross-attention keys and
-values over the fixed encoder memories. Both paths
-share the same attention code (``nn.layers.attend``), and the cached one is
-exact: with the parents' objective frame, a row's embedding never depends on
-later rows, so its cached keys and values are the ones a full re-decode of
-the longer prefix would compute again.
+values over the fixed encoder memories, all plain arrays off the tape. Both
+paths call the same blocks (``nn.layers``), and the cached one is exact:
+with the parents' objective frame, a row's embedding never depends on later
+rows, so its cached keys and values are the ones a full re-decode of the
+longer prefix would compute again.
 
 One model instance serves every problem whose dimensions fit its capacity.
 """
@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import json
 import struct
+import zlib
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -78,7 +79,7 @@ from .nn import (
 from .nn.tensor import Tensor
 
 CHECKPOINT_MAGIC = b"PETM"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 HEAD_MODES = ("logistic", "softmax")
 CAPACITY_FIELDS = ("d_hat", "m_hat", "width", "layers", "heads", "max_seq")
@@ -172,7 +173,7 @@ class EncodedParents:
     already decoded: appending a row changes none of them.
     """
 
-    memories: list[Tensor]
+    memories: list[np.ndarray]
     obj_low: np.ndarray
     obj_span: np.ndarray
 
@@ -209,24 +210,12 @@ class DecoderCache:
         self.length = 0
 
 
-def _norm_param_list(prefix: str, p: NormParams):
-    return [(f"{prefix}.gain", p.gain), (f"{prefix}.bias", p.bias)]
-
-
-def _linear_param_list(prefix: str, p):
-    return [(f"{prefix}.w", p.w), (f"{prefix}.b", p.b)]
-
-
-def _attn_param_list(prefix: str, p: AttentionParams):
-    out = []
-    for name, lin in (("q", p.q), ("k", p.k), ("v", p.v), ("out", p.out)):
-        out += _linear_param_list(f"{prefix}.{name}", lin)
-    return out
-
-
-def _mlp_param_list(prefix: str, p: MlpParams):
-    return _linear_param_list(f"{prefix}.inner", p.inner) + \
-        _linear_param_list(f"{prefix}.outer", p.outer)
+def _named_tensors(prefix: str, node) -> list[tuple[str, Tensor]]:
+    """Every Tensor in a tree of parameter dataclasses, in field order."""
+    if isinstance(node, Tensor):
+        return [(prefix, node)]
+    return [pair for field in fields(node)
+            for pair in _named_tensors(f"{prefix}.{field.name}", getattr(node, field.name))]
 
 
 class PopulationTransformer:
@@ -256,20 +245,12 @@ class PopulationTransformer:
     # -- parameter plumbing -------------------------------------------------
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
+        """Every parameter with its dotted name, in the checkpoint's order."""
         out = [("e_dim", self.e_dim), ("e_obj", self.e_obj)]
-        for i, blk in enumerate(self.encoder):
-            out += _norm_param_list(f"encoder.{i}.ln_attn", blk.ln_attn)
-            out += _attn_param_list(f"encoder.{i}.attn", blk.attn)
-            out += _norm_param_list(f"encoder.{i}.ln_mlp", blk.ln_mlp)
-            out += _mlp_param_list(f"encoder.{i}.mlp", blk.mlp)
-        for i, blk in enumerate(self.decoder):
-            out += _norm_param_list(f"decoder.{i}.ln_self", blk.ln_self)
-            out += _attn_param_list(f"decoder.{i}.self_attn", blk.self_attn)
-            out += _attn_param_list(f"decoder.{i}.cross_attn", blk.cross_attn)
-            out += _norm_param_list(f"decoder.{i}.ln_mlp", blk.ln_mlp)
-            out += _mlp_param_list(f"decoder.{i}.mlp", blk.mlp)
-        out += _linear_param_list("head", self.head)
-        return out
+        for part in ("encoder", "decoder"):
+            for i, blk in enumerate(getattr(self, part)):
+                out += _named_tensors(f"{part}.{i}", blk)
+        return out + _named_tensors("head", self.head)
 
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
@@ -281,7 +262,8 @@ class PopulationTransformer:
     # -- embedding ----------------------------------------------------------
 
     def embed(self, x: np.ndarray, f: np.ndarray, spec: ProblemSpec,
-              frame: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
+              frame: tuple[np.ndarray, np.ndarray] | None = None,
+              tape: bool = True) -> Tensor | np.ndarray:
         """Token sequence, row per member: the normalized decisions ``x``
         zero-padded to d_hat, plus the min-max normalized objectives ``f``
         padded to m_hat, each projected to model width.
@@ -291,7 +273,8 @@ class PopulationTransformer:
         normalize against their own per-column min-max (zero ranges map to
         0.5). With a frame (a parent generation's low/span, each (..., m))
         values normalize against that frame and are clipped to a generous
-        window so outlier offspring cannot blow up activations.
+        window so outlier offspring cannot blow up activations. With
+        ``tape=False`` the tokens are a plain array for inference.
         """
         *lead, n, m = f.shape
         cfg = self.config
@@ -308,11 +291,13 @@ class PopulationTransformer:
         decisions[..., :spec.d] = normalize_decision(x, spec)
         objectives = np.zeros((*lead, n, cfg.m_hat))
         objectives[..., :m] = normed
+        if not tape:
+            return decisions @ self.e_dim.data + objectives @ self.e_obj.data
         return matmul(const(decisions), self.e_dim) + matmul(const(objectives), self.e_obj)
 
     # -- encoder / decoder --------------------------------------------------
 
-    def encode_layers(self, z: Tensor) -> list[Tensor]:
+    def encode_layers(self, z: Tensor | np.ndarray) -> list[Tensor | np.ndarray]:
         """All per-layer encoder outputs; the decoder cross-attends layer-for-layer."""
         outputs = []
         heads = self.config.heads
@@ -324,14 +309,14 @@ class PopulationTransformer:
         return outputs
 
     def encode_parents(self, parents: Population, spec: ProblemSpec) -> EncodedParents:
-        """Run the encoder once; the result conditions every decode step."""
+        """Run the encoder once, off the tape; the result conditions every decode step."""
         if not parents.all_evaluated:
             raise DataError("encoding requires an evaluated parent population")
         low, span = objective_frame(parents.f)
-        memories = self.encode_layers(self.embed(parents.x, parents.f, spec))
+        memories = self.encode_layers(self.embed(parents.x, parents.f, spec, tape=False))
         return EncodedParents(memories=memories, obj_low=low, obj_span=span)
 
-    def decode(self, y: Tensor, memories: list[Tensor]) -> Tensor:
+    def decode(self, y: Tensor, memories: list[Tensor | np.ndarray]) -> Tensor:
         """Masked self-attention, cross-attention into the encoder, then MLP.
 
         The cross block queries with the self-attention output and adds no
@@ -351,8 +336,8 @@ class PopulationTransformer:
             y = mlp_block(layer_norm(cross + yp, blk.ln_mlp), blk.mlp) + cross
         return y
 
-    def decode_next(self, z: Tensor, cache: DecoderCache) -> Tensor:
-        """Decode one embedded row (1, D) after the rows already in ``cache``.
+    def decode_next(self, z: np.ndarray, cache: DecoderCache) -> np.ndarray:
+        """Decode one embedded (1, D) array after the rows already in ``cache``.
 
         The same blocks as :meth:`decode`: the new row's self-attention keys
         and values join the cache, its query attends over every cached row
@@ -368,10 +353,10 @@ class PopulationTransformer:
                 self.decoder, cache.keys, cache.values, cache.cross):
             normed = layer_norm(y, blk.ln_self)
             p = blk.self_attn
-            keys[:, t] = split_heads(linear(normed, p.k), heads).data[:, 0]
-            values[:, t] = split_heads(linear(normed, p.v), heads).data[:, 0]
+            keys[:, t] = split_heads(linear(normed, p.k), heads)[:, 0]
+            values[:, t] = split_heads(linear(normed, p.v), heads)[:, 0]
             mixed = attend(split_heads(linear(normed, p.q), heads),
-                           const(keys[:, :t + 1]), const(values[:, :t + 1]))
+                           keys[:, :t + 1], values[:, :t + 1])
             yp = linear(merge_heads(mixed), p.out) + y
             p = blk.cross_attn
             mixed = attend(split_heads(linear(yp, p.q), heads), cross_k, cross_v)
@@ -380,7 +365,7 @@ class PopulationTransformer:
         cache.length = t + 1
         return y
 
-    def head_activations(self, y: Tensor) -> Tensor:
+    def head_activations(self, y: Tensor | np.ndarray) -> Tensor | np.ndarray:
         """Per-position unit-box outputs of width d_hat."""
         logits = linear(y, self.head)
         if self.config.head_mode == "softmax":
@@ -389,10 +374,10 @@ class PopulationTransformer:
 
     # -- inference ----------------------------------------------------------
 
-    def _decision(self, y: Tensor, spec: ProblemSpec, generation: int,
+    def _decision(self, y: np.ndarray, spec: ProblemSpec, generation: int,
                   step: int) -> np.ndarray:
         """The first d head outputs of row ``y``, denormalized to the bounds."""
-        unit = self.head_activations(y).data[-1, :spec.d]
+        unit = self.head_activations(y)[-1, :spec.d]
         if not np.isfinite(unit).all():
             raise ModelOutputError(
                 f"generation {generation}, decode step {step}: the model output "
@@ -428,7 +413,7 @@ class PopulationTransformer:
         size = 0
         while size < n_target:
             if size:
-                z = self.embed(x[size - 1:size], f[size - 1:size], spec, frame=cache.frame)
+                z = self.embed(x[size - 1:size], f[size - 1:size], spec, cache.frame, tape=False)
                 x[size] = self._decision(self.decode_next(z, cache), spec, generation, size)
             if budget.reserve(1) == 0:
                 if size:
@@ -502,7 +487,8 @@ def teacher_forced_loss(model: PopulationTransformer,
 
 def save_checkpoint(model: PopulationTransformer, path) -> None:
     """Binary format: magic, u32 version, length-prefixed config JSON, then
-    every parameter in declaration order as u32 rank, u32 extents, f64 data."""
+    every parameter in declaration order as u32 rank, u32 extents, f64 data,
+    and last a u32 CRC-32 of all the bytes before it."""
     blob = bytearray()
     blob += CHECKPOINT_MAGIC
     blob += struct.pack("<I", CHECKPOINT_VERSION)
@@ -514,6 +500,7 @@ def save_checkpoint(model: PopulationTransformer, path) -> None:
         for extent in p.data.shape:
             blob += struct.pack("<I", extent)
         blob += p.data.astype("<f8").tobytes()
+    blob += struct.pack("<I", zlib.crc32(blob))
     with open(path, "wb") as fh:
         fh.write(blob)
 
@@ -542,6 +529,11 @@ def load_checkpoint(path, expect_config: ModelConfig | None = None) -> Populatio
         config = ModelConfig.from_json(bytes(take(cfg_len, "config")).decode("utf-8"))
     except (UnicodeDecodeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: bad model config: {exc}") from exc
+    if len(view) < offset + 4:
+        raise CheckpointError(f"{path}: truncated while reading the checksum")
+    view, (crc,) = view[:-4], struct.unpack("<I", view[-4:])
+    if zlib.crc32(view) != crc:
+        raise CheckpointError(f"{path}: checksum mismatch, the file is corrupt")
     if expect_config is not None and config != expect_config:
         raise CheckpointError(f"{path}: checkpoint config differs from the requested config")
     model = PopulationTransformer(config, seed=0)

@@ -1,4 +1,4 @@
-"""Functional transformer building blocks over the autodiff tensors."""
+"""Functional transformer blocks over autodiff tensors, or off the tape over plain arrays."""
 from __future__ import annotations
 
 import math
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, ShapeError
-from .tensor import Tensor, add, matmul, mul, relu, reshape, scale, softmax, swapaxes
+from .tensor import Tensor, add, matmul, relu, scale, softmax
 from .tensor import layer_norm as _layer_norm
 
 
@@ -70,6 +70,8 @@ def mlp_params(rng: np.random.Generator, width: int, hidden: int) -> MlpParams:
 
 
 def linear(x: Tensor, p: LinearParams) -> Tensor:
+    if isinstance(x, np.ndarray):
+        return x @ p.w.data + p.b.data
     return add(matmul(x, p.w), p.b)
 
 
@@ -88,13 +90,13 @@ def causal_mask(n: int) -> np.ndarray:
 
 def split_heads(t: Tensor, heads: int) -> Tensor:
     """(..., s, D) rows to (..., heads, s, D/heads) per-head slices."""
-    return swapaxes(reshape(t, t.shape[:-1] + (heads, t.shape[-1] // heads)), -3, -2)
+    return t.reshape(t.shape[:-1] + (heads, t.shape[-1] // heads)).swapaxes(-3, -2)
 
 
 def merge_heads(t: Tensor) -> Tensor:
     """Inverse of :func:`split_heads`: (..., heads, s, dk) to (..., s, heads * dk)."""
     *outer, heads, s, dk = t.shape
-    return reshape(swapaxes(t, -3, -2), (*outer, s, heads * dk))
+    return t.swapaxes(-3, -2).reshape((*outer, s, heads * dk))
 
 
 def attend(qh: Tensor, kh: Tensor, vh: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -105,8 +107,8 @@ def attend(qh: Tensor, kh: Tensor, vh: Tensor, mask: np.ndarray | None = None) -
     (..., H, sq, dk).
     """
     dk = qh.shape[-1]
-    scores = scale(matmul(qh, swapaxes(kh, -1, -2)), 1.0 / math.sqrt(dk))  # (..., H, sq, sk)
-    return matmul(softmax(scores, mask=mask), vh)
+    scores = scale(qh @ kh.swapaxes(-1, -2), 1.0 / math.sqrt(dk))  # (..., H, sq, sk)
+    return softmax(scores, mask=mask) @ vh
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, p: AttentionParams,

@@ -3,7 +3,10 @@
 Primitives record onto the innermost active :class:`Tape`; the record order is
 the execution order, which is already topological, so one reverse walk
 completes every consumer's gradient before the producer runs its backward
-rule. Without an active tape, primitives are plain numpy math.
+rule. Without an active tape, primitives are plain numpy math. relu,
+logistic, softmax, layer_norm, scale, reshape and swapaxes also take their
+activation as a plain ndarray, a constant, and return the plain array their
+Tensor form computes: inference builds no Tensor at all.
 """
 from __future__ import annotations
 
@@ -43,17 +46,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
     def __matmul__(self, other):
         return matmul(self, _wrap(other))
+
+    def reshape(self, shape: tuple[int, ...]) -> "Tensor":
+        return reshape(self, shape)
+
+    def swapaxes(self, axis1: int, axis2: int) -> "Tensor":
+        return swapaxes(self, axis1, axis2)
 
 
 def _wrap(x) -> Tensor:
@@ -113,7 +113,13 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
+def _values(a: Tensor | np.ndarray) -> np.ndarray:
+    return a if isinstance(a, np.ndarray) else a.data
+
+
 def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward) -> Tensor:
+    if isinstance(inputs[0], np.ndarray):  # a constant operand: a constant result
+        return out_data
     tape = _active_tape()
     track = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=track)
@@ -177,7 +183,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     def backward(g):
         _accum(a, g * c)
 
-    return _emit(a.data * c, (a,), backward)
+    return _emit(_values(a) * c, (a,), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -225,7 +231,7 @@ def _rows_matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    out = np.maximum(a.data, 0.0)
+    out = np.maximum(_values(a), 0.0)
 
     def backward(g):
         _accum(a, g * (a.data > 0.0))
@@ -234,9 +240,9 @@ def relu(a: Tensor) -> Tensor:
 
 
 def logistic(a: Tensor) -> Tensor:
-    x = a.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    x = _values(a)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward(g):
         _accum(a, g * out * (1.0 - out))
@@ -245,7 +251,7 @@ def logistic(a: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = a.data.reshape(shape)
+    out = _values(a).reshape(shape)
 
     def backward(g):
         _accum(a, g.reshape(a.shape))
@@ -256,9 +262,9 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 def swapaxes(a: Tensor, axis1: int, axis2: int) -> Tensor:
     """Exchange two axes; the backward rule exchanges them back."""
     def backward(g):
-        _accum(a, np.swapaxes(g, axis1, axis2))
+        _accum(a, g.swapaxes(axis1, axis2))
 
-    return _emit(np.swapaxes(a.data, axis1, axis2), (a,), backward)
+    return _emit(_values(a).swapaxes(axis1, axis2), (a,), backward)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -279,7 +285,7 @@ def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     masked entries get probability 0. Fully masked rows come back as all
     zeros with a warning, since no distribution exists there.
     """
-    z = a.data
+    z = _values(a)
     if mask is not None:
         keep = np.broadcast_to(np.asarray(mask, dtype=bool), z.shape)
         z = np.where(keep, z, -np.inf)
@@ -307,9 +313,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(
             f"layer_norm affine params must have shape ({d},), got {gain.shape} and {bias.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    # sum / d is mean's own arithmetic, without its Python-level wrapper
+    mu = _values(x).sum(axis=-1, keepdims=True) / d
+    centered = _values(x) - mu
+    var = (centered * centered).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     out = xhat * gain.data + bias.data

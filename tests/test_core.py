@@ -261,6 +261,34 @@ class TestInvariants:
         with pytest.raises(ContractViolation):
             Population([np.zeros(2), np.zeros(3)])
 
+    def test_take_and_concat_equal_a_validated_construction(self):
+        rng = np.random.default_rng(0)
+        pop = Population(rng.random((5, 3)), rng.random((5, 2)), np.zeros(5), 2)
+        other = Population(rng.random((2, 3)), rng.random((2, 2)), np.ones(2), 7)
+        idx = [3, 0, 3]
+        cases = [
+            (pop.take(idx), Population(pop.x[idx], pop.f[idx], pop.cv[idx], 2)),
+            (pop.take(idx, 4), Population(pop.x[idx], pop.f[idx], pop.cv[idx], 4)),
+            (pop.take(slice(1, 3)), Population(pop.x[1:3], pop.f[1:3], pop.cv[1:3], 2)),
+            (Population(pop.x).take(idx), Population(pop.x[idx], generation_index=0)),
+            (pop.concat(other), Population(np.concatenate([pop.x, other.x]),
+                                           np.concatenate([pop.f, other.f]),
+                                           np.concatenate([pop.cv, other.cv]), 2)),
+        ]
+        for got, want in cases:
+            assert got.generation_index == want.generation_index
+            for a, b in ((got.x, want.x), (got.f, want.f), (got.cv, want.cv)):
+                if b is None:
+                    assert a is None
+                    continue
+                assert np.array_equal(a, b) and a.dtype == b.dtype
+                with pytest.raises(ValueError):
+                    a[0] = 5.0
+        with pytest.raises(ContractViolation):
+            pop.concat(Population(other.x))
+        with pytest.raises(ContractViolation):
+            pop.take(idx, -1)
+
     def test_solutions_are_immutable(self):
         s = Population(np.zeros((1, 2)), np.array([[1.0, 2.0]]), np.zeros(1))
         for arr in (s.x, s.f, s.cv):

@@ -22,6 +22,8 @@ from popformer.errors import (
     ModelOutputError,
 )
 from popformer.model import (
+    CHECKPOINT_VERSION,
+    DecoderCache,
     ModelConfig,
     PopulationTransformer,
     load_checkpoint,
@@ -288,6 +290,33 @@ class TestCachedDecoding:
         assert budget.used == 1  # only the initialization token was evaluated
 
 
+class TestTapeFreeInference:
+    def setup_method(self):
+        self.model = PopulationTransformer(TOY, seed=3)
+        self.problem = make_problem("zdt1", d=6)
+        self.parents = evaluated_pop(self.problem, 8)
+
+    def test_generate_records_nothing_on_an_active_tape(self):
+        with Tape() as tape:
+            offspring = self.model.generate(self.parents, self.problem, EvaluationBudget(20),
+                                            np.random.default_rng(0), n_offspring=8)
+        assert len(offspring) == 8
+        assert len(tape) == 0
+        assert all(p.grad is None for p in self.model.parameters())
+
+    def test_decoder_cache_holds_only_arrays(self):
+        encoded = self.model.encode_parents(self.parents, self.problem.spec)
+        cache = DecoderCache(self.model, encoded, 4)
+        z = self.model.embed(self.parents.x[:1], self.parents.f[:1], self.problem.spec,
+                             cache.frame, tape=False)
+        row = self.model.decode_next(z, cache)
+        assert type(row) is np.ndarray and row.shape == (1, TOY.width)
+        held = [*encoded.memories, *cache.frame, *cache.keys, *cache.values,
+                *(a for pair in cache.cross for a in pair)]
+        assert len(held) == 2 + 5 * TOY.layers
+        assert all(type(a) is np.ndarray for a in held)
+
+
 class TestTeacherForcing:
     def setup_method(self):
         self.model = PopulationTransformer(TOY, seed=4)
@@ -430,6 +459,27 @@ class TestCheckpoint:
             assert na == nb
             assert np.array_equal(a.data, b.data)
 
+    def test_parameter_order_is_the_file_layout(self):
+        cfg = ModelConfig(d_hat=4, m_hat=2, width=8, layers=1, heads=2, max_seq=4)
+        names = [name for name, _ in PopulationTransformer(cfg).named_parameters()]
+
+        def attn(prefix):
+            return [f"{prefix}.{lin}.{t}" for lin in ("q", "k", "v", "out") for t in ("w", "b")]
+
+        def norm(prefix):
+            return [f"{prefix}.gain", f"{prefix}.bias"]
+
+        mlp = ["mlp.inner.w", "mlp.inner.b", "mlp.outer.w", "mlp.outer.b"]
+        assert names == (
+            ["e_dim", "e_obj"]
+            + norm("encoder.0.ln_attn") + attn("encoder.0.attn") + norm("encoder.0.ln_mlp")
+            + [f"encoder.0.{n}" for n in mlp]
+            + norm("decoder.0.ln_self") + attn("decoder.0.self_attn")
+            + attn("decoder.0.cross_attn") + norm("decoder.0.ln_mlp")
+            + [f"decoder.0.{n}" for n in mlp]
+            + ["head.w", "head.b"]
+        )
+
     def test_truncated_file_rejected(self, tmp_path):
         model = PopulationTransformer(TOY, seed=6)
         path = tmp_path / "model.petm"
@@ -505,6 +555,26 @@ class TestCheckpoint:
             load_checkpoint(path)
         except CheckpointError as exc:
             assert str(path) in str(exc)
+
+    def test_every_spaced_byte_flip_rejected(self, tmp_path):
+        path = tmp_path / "model.petm"
+        save_checkpoint(PopulationTransformer(TOY, seed=6), path)
+        blob = path.read_bytes()
+        for at in np.linspace(0, len(blob) - 1, 200).astype(int):
+            flipped = bytearray(blob)
+            flipped[at] ^= 0x01
+            path.write_bytes(bytes(flipped))
+            with pytest.raises(CheckpointError, match="model.petm"):
+                load_checkpoint(path)
+
+    def test_version_1_file_rejected(self, tmp_path):
+        path = tmp_path / "model.petm"
+        save_checkpoint(PopulationTransformer(TOY, seed=6), path)
+        blob = path.read_bytes()
+        assert blob[4:8] == struct.pack("<I", CHECKPOINT_VERSION) != struct.pack("<I", 1)
+        path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:-4])
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+            load_checkpoint(path)
 
     def test_config_mismatch_rejected(self, tmp_path):
         model = PopulationTransformer(TOY, seed=7)

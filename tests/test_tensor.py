@@ -23,9 +23,11 @@ from popformer.nn import (
     linear,
     relu,
     reshape,
+    scale,
     softmax,
     sub,
     sum_all,
+    swapaxes,
     uniform_linear,
 )
 from popformer.nn.layers import LinearParams, MlpParams, NormParams
@@ -97,6 +99,14 @@ class TestElementwise:
         report = gradient_check(lambda: sum_all(logistic(leafed)), [leafed := leaf([0.3, -1.2])])
         assert report["max_rel_err"] <= 1e-6
 
+    def test_logistic_bitwise_equal_to_three_exp_form(self):
+        x = np.concatenate([[-800.0, -0.0, 0.0, 800.0, 1e-300, -1e-300],
+                            np.random.default_rng(4).normal(scale=30.0, size=500)])
+        want = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        assert np.array_equal(logistic(const(x)).data, want)
+        assert np.array_equal(logistic(x), want)
+
     def test_fd_on_mixed_expression(self):
         rng = np.random.default_rng(5)
         a = leaf(rng.normal(size=(4, 3)))
@@ -106,6 +116,40 @@ class TestElementwise:
             return mean_all(mul(sub(a, b), relu(add(a, b))))
 
         assert gradient_check(loss, [a, b])["max_rel_err"] <= 1e-6
+
+
+class TestPlainArrays:
+    """One-operand primitives take a plain ndarray and return the plain
+    array their Tensor form computes, recording nothing."""
+
+    @pytest.mark.parametrize("op", [
+        relu, logistic, softmax, lambda a: softmax(a, mask=causal_mask(4)),
+        lambda a: scale(a, -2.5), lambda a: reshape(a, (2, 8)),
+        lambda a: swapaxes(a, 0, 1),
+        lambda a: layer_norm(a, norm_params(4)),
+    ], ids=["relu", "logistic", "softmax", "masked-softmax", "scale", "reshape", "swapaxes",
+            "layer_norm"])
+    def test_same_values_and_no_tape(self, op):
+        x = np.random.default_rng(0).normal(size=(4, 4))
+        want = op(leaf(x)).data
+        with Tape() as tape:
+            got = op(x)
+        assert type(got) is np.ndarray and np.array_equal(got, want)
+        assert len(tape) == 0
+
+    def test_blocks_run_on_plain_arrays(self):
+        rng = np.random.default_rng(1)
+        attn, mlp = attention_params(rng, 8), mlp_params(rng, 8, 32)
+        x = rng.normal(size=(5, 8))
+
+        def blocks(a):
+            return mlp_block(multi_head_attention(a, a, a, attn, 2, mask=causal_mask(5)), mlp)
+
+        want = blocks(const(x)).data
+        with Tape() as tape:
+            got = blocks(x)
+        assert type(got) is np.ndarray and np.array_equal(got, want)
+        assert len(tape) == 0
 
 
 class TestSoftmax:
