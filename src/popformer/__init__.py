@@ -16,7 +16,7 @@ from .core import (
     normalize_decision,
     random_population,
 )
-from .dataset import TrajectoryDataset, TrajectoryPair, TrajectorySink
+from .dataset import TrajectoryDataset, TrajectoryPair
 from .metrics import IgdResult, RankSumResult, igd, wilcoxon_rank_sum
 from .model import (
     ModelConfig,
@@ -52,7 +52,7 @@ __all__ = [
     "EvaluationBudget", "FinetuneConfig", "FrontPartition", "IgdResult", "LsmopProblem",
     "ModelConfig", "Population", "PopulationTransformer", "PretrainConfig", "Problem",
     "ProblemSpec", "RankSumResult", "ShiftClusterProblem", "TrajectoryDataset",
-    "TrajectoryPair", "TrajectorySink", "VariationConfig", "ZdtProblem",
+    "TrajectoryPair", "VariationConfig", "ZdtProblem",
     "collect_trajectories", "constrained_dominates",
     "crowding_distance", "cso_step", "denormalize_decision", "dominates", "evaluate",
     "fast_nondominated_sort", "finetune_step", "igd", "load_checkpoint", "make_problem",

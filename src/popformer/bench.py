@@ -18,7 +18,7 @@ from .errors import ConfigError, IgdUndefined
 from .metrics import igd, wilcoxon_rank_sum
 from .model import ModelConfig, PopulationTransformer, load_checkpoint
 from .moea import run_cso, run_nsga2, run_random_search
-from .pipeline import FinetuneConfig, run_nsga2_model
+from .pipeline import FinetuneConfig, require_ints, run_nsga2_model
 from .problems import make_problem
 
 
@@ -27,9 +27,8 @@ def _run_learned(arm, problem, n_pop, evals, seed):
         model = load_checkpoint(arm.model)
     else:
         model = PopulationTransformer(ModelConfig(), seed=seed)
-    fine = FinetuneConfig(steps_per_generation=arm.steps_per_generation,
-                          lr=arm.lr, enabled=arm.finetune)
-    return run_nsga2_model(problem, model, n_pop, evals, fine_cfg=fine, seed=seed)
+    return run_nsga2_model(problem, model, n_pop, evals, fine_cfg=arm.finetune_config(),
+                           seed=seed)
 
 
 # Arm kind -> runner(arm, problem, n_pop, evals, seed). Each entry looks its
@@ -43,31 +42,27 @@ ARM_RUNNERS = {
 ARM_KINDS = tuple(ARM_RUNNERS)
 
 
-def _require_ints(obj, *names: str) -> None:
-    for name in names:
-        value = getattr(obj, name)
-        if type(value) is not int:  # a bool, a float or a string is not a count
-            raise ConfigError(f"{name} must be an int, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ArmSpec:
     """One algorithm arm. ``learned`` arms need a checkpoint path (or run a
-    freshly initialized model when ``model`` is null, the no-training arm)."""
+    freshly initialized model when ``model`` is null, the no-training arm);
+    ``lr`` and ``steps_per_generation`` set their online update."""
 
     kind: str
     label: str | None = None
     model: str | None = None
-    finetune: bool = True
     lr: float = 1e-4
     steps_per_generation: int = 1
 
     def __post_init__(self):
         if self.kind not in ARM_KINDS:
             raise ConfigError(f"unknown arm kind {self.kind!r} (known: {ARM_KINDS})")
-        _require_ints(self, "steps_per_generation")
+        self.finetune_config()  # validates lr and steps_per_generation
         if self.label is None:
             object.__setattr__(self, "label", self.kind)
+
+    def finetune_config(self) -> FinetuneConfig:
+        return FinetuneConfig(steps_per_generation=self.steps_per_generation, lr=self.lr)
 
 
 @dataclass(frozen=True)
@@ -77,7 +72,7 @@ class ProblemCase:
     m: int = 2
 
     def __post_init__(self):
-        _require_ints(self, "d", "m")
+        require_ints(self, "d", "m")
 
 
 @dataclass(frozen=True)
@@ -93,9 +88,9 @@ class ExperimentConfig:
     alpha: float = 0.05
 
     def __post_init__(self):
-        _require_ints(self, "n_pop", "evals", "n_seeds", "master_seed")
+        require_ints(self, "n_pop", "evals", "n_seeds", "master_seed")
         if self.reference_front_size is not None:
-            _require_ints(self, "reference_front_size")
+            require_ints(self, "reference_front_size")
         if not (self.problems and self.arms):
             raise ConfigError("a grid needs at least one problem and one arm")
         if self.n_pop < 2:

@@ -94,13 +94,13 @@ def _cmd_pretrain(args) -> int:
     from .model import ModelConfig, PopulationTransformer, save_checkpoint
     from .pipeline import PretrainConfig, pretrain
 
+    cfg = PretrainConfig(steps=args.steps, batch_size=args.batch, lr=args.lr, seed=args.seed)
     dataset = TrajectoryDataset.load(args.data)
     if args.config:
         config = ModelConfig.from_json(Path(args.config).read_text())
     else:
         config = ModelConfig()
     model = PopulationTransformer(config, seed=args.seed)
-    cfg = PretrainConfig(steps=args.steps, batch_size=args.batch, lr=args.lr, seed=args.seed)
     curve = pretrain(dataset, model, cfg)
     save_checkpoint(model, args.out)
     for step, loss in curve:
@@ -118,7 +118,7 @@ def _cmd_optimize(args) -> int:
 
     problem = make_problem(args.problem, d=args.d, m=args.m)
     model = load_checkpoint(args.model)
-    fine = FinetuneConfig(enabled=not args.no_finetune)
+    fine = FinetuneConfig(steps_per_generation=0) if args.no_finetune else FinetuneConfig()
     try:
         front = problem.reference_front(1000 if problem.spec.m <= 3 else 5000)
     except UnsupportedFront:

@@ -100,16 +100,6 @@ def _pair_record(pair: TrajectoryPair) -> dict:
     }
 
 
-class TrajectorySink:
-    """Collects pairs from one run; one sink per run."""
-
-    def __init__(self):
-        self.pairs: list[TrajectoryPair] = []
-
-    def append(self, pair: TrajectoryPair) -> None:
-        self.pairs.append(pair)
-
-
 @dataclass
 class TrajectoryDataset:
     """A set of pairs plus the provenance manifest describing where they came from."""

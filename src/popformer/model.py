@@ -50,7 +50,6 @@ from .errors import (
     ModelOutputError,
 )
 from .nn import (
-    Adam,
     AttentionParams,
     MlpParams,
     NormParams,
@@ -239,8 +238,6 @@ class PopulationTransformer:
             for _ in range(config.layers)
         ]
         self.head = uniform_linear(rng, w, config.d_hat)
-        self.optimizer: Adam | None = None         # pretraining's
-        self.online_optimizer: Adam | None = None  # the online update's own
 
     # -- parameter plumbing -------------------------------------------------
 

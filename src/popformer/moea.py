@@ -19,7 +19,7 @@ from .core import (
     evaluate,
     random_population,
 )
-from .dataset import TrajectoryPair, TrajectorySink
+from .dataset import TrajectoryPair
 from .errors import BudgetExhausted, ConfigError, ContractViolation
 
 
@@ -258,7 +258,7 @@ def _evaluate_available(pop: Population, problem: Problem,
 
 
 def run_generational(problem: Problem, n_pop: int, evals: int, make_offspring,
-                     seed: int = 0, sink: TrajectorySink | None = None,
+                     seed: int = 0, sink: list[TrajectoryPair] | None = None,
                      teacher_name: str = "custom", after_generation=None) -> RunResult:
     """The select-vary-evaluate loop every run goes through, with exact budget
     accounting.
@@ -273,7 +273,8 @@ def run_generational(problem: Problem, n_pop: int, evals: int, make_offspring,
     offspring, selected) -> dict``, when given, receives that selection's
     indices into the parents followed by the offspring; its entries join the
     generation's log entry. Each loop iteration records its post-selection
-    parents; consecutive recorded parents become trajectory pairs on the sink.
+    parents; consecutive recorded parents become trajectory pairs appended to
+    ``sink``.
     """
     if n_pop < 2:
         raise ContractViolation("population size must be at least 2")
@@ -317,7 +318,7 @@ def run_generational(problem: Problem, n_pop: int, evals: int, make_offspring,
 
 def run_nsga2(problem: Problem, n_pop: int, evals: int,
               cfg: VariationConfig | None = None, seed: int = 0,
-              sink: TrajectorySink | None = None) -> RunResult:
+              sink: list[TrajectoryPair] | None = None) -> RunResult:
     """NSGA-II with SBX + polynomial mutation."""
     cfg = cfg or VariationConfig()
     return run_generational(
@@ -328,7 +329,7 @@ def run_nsga2(problem: Problem, n_pop: int, evals: int,
 
 
 def run_cso(problem: Problem, n_pop: int, evals: int, seed: int = 0,
-            sink: TrajectorySink | None = None) -> RunResult:
+            sink: list[TrajectoryPair] | None = None) -> RunResult:
     """Competitive-swarm teacher inside the same selection loop."""
     return run_generational(
         problem, n_pop, evals,

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Population, Problem
-from .dataset import TrajectoryDataset, TrajectoryPair, TrajectorySink
+from .core import Population, Problem, ProblemSpec
+from .dataset import TrajectoryDataset, TrajectoryPair
 from .errors import CapacityError, ConfigError, ContractViolation, DataError
 from .metrics import igd
 from .model import PopulationTransformer, teacher_forced_loss
@@ -19,50 +19,56 @@ from .nn import Adam
 log = logging.getLogger(__name__)
 
 
+def require_ints(obj, *names: str) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) is not int:  # a bool, a float or a string is not a count
+            raise ConfigError(f"{name} must be an int, got {value!r}")
+
+
+def _require_rate(obj, name: str, zero_ok: bool = False) -> None:
+    value = getattr(obj, name)
+    if not (isinstance(value, (int, float)) and np.isfinite(value)
+            and (value >= 0 if zero_ok else value > 0)):
+        raise ConfigError(f"{name} must be a finite number "
+                          f"{'>= 0' if zero_ok else '> 0'}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PretrainConfig:
     steps: int = 1000
     batch_size: int = 64
     lr: float = 1e-3
-    lr_final: float | None = None  # cosine-decay target; None keeps lr constant
-    beta1: float = 0.9
-    beta2: float = 0.999
     weight_decay: float = 0.1
     seed: int = 0
     eval_every: int = 50
 
     def __post_init__(self):
-        if self.steps < 1 or self.batch_size < 1:
-            raise ConfigError("steps and batch_size must be >= 1")
-        if self.lr <= 0 or (self.lr_final is not None and self.lr_final <= 0):
-            raise ConfigError("learning rates must be positive")
-
-    def lr_at(self, step: int) -> float:
-        if self.lr_final is None:
-            return self.lr
-        frac = (step - 1) / max(1, self.steps - 1)
-        return self.lr_final + 0.5 * (self.lr - self.lr_final) * (1.0 + np.cos(np.pi * frac))
+        require_ints(self, "steps", "batch_size", "eval_every")
+        if min(self.steps, self.batch_size, self.eval_every) < 1:
+            raise ConfigError("steps, batch_size and eval_every must be >= 1")
+        _require_rate(self, "lr")
+        _require_rate(self, "weight_decay", zero_ok=True)
 
 
 @dataclass(frozen=True)
 class FinetuneConfig:
     """Per-generation online update inside the optimization loop.
 
-    Each enabled generation takes ``steps_per_generation`` Adam steps of size
-    ``lr`` (no weight decay) toward the offspring that survived selection, or
+    Each generation takes ``steps_per_generation`` Adam steps of size ``lr``
+    (no weight decay) toward the offspring that survived selection, or
     toward all survivors when fewer than two offspring did; see
-    :func:`finetune_step`.
+    :func:`finetune_step`. Zero steps freeze the model.
     """
 
     steps_per_generation: int = 1
     lr: float = 1e-4
-    enabled: bool = True
 
     def __post_init__(self):
+        require_ints(self, "steps_per_generation")
         if self.steps_per_generation < 0:
             raise ConfigError("steps_per_generation must be >= 0")
-        if self.lr <= 0:
-            raise ConfigError("learning rate must be positive")
+        _require_rate(self, "lr")
 
 
 def collect_trajectories(problems: list[Problem], teachers: list[str], seeds: list[int],
@@ -81,14 +87,14 @@ def collect_trajectories(problems: list[Problem], teachers: list[str], seeds: li
         key=lambda c: (c[0].spec.name, c[0].spec.d, c[0].spec.m, c[1], c[2]),
     )
     for problem, teacher, seed in cells:
-        sink = TrajectorySink()
+        pairs: list[TrajectoryPair] = []
         try:
-            TEACHERS[teacher](problem, n_pop, evals, seed=seed, sink=sink)
+            TEACHERS[teacher](problem, n_pop, evals, seed=seed, sink=pairs)
         except Exception:
             log.exception("collection cell failed: %s/%s/seed=%s; skipping",
                           problem.spec.name, teacher, seed)
             continue
-        dataset.pairs.extend(sink.pairs)
+        dataset.pairs.extend(pairs)
     return dataset
 
 
@@ -101,15 +107,40 @@ def _check_pair_capacity(pair: TrajectoryPair, model: PopulationTransformer) -> 
         )
 
 
+def train_step(model: PopulationTransformer, optimizer: Adam,
+               pairs: list[tuple[Population, Population]], spec: ProblemSpec) -> float:
+    """One teacher-forced optimizer step on same-shape (context, target) pairs.
+
+    The pairs run in stacked passes of at most ``max_seq // N`` pairs (at
+    least one), so one pass never holds more rows than one full-capacity
+    pair. Gradients are averaged over the pairs. A non-finite mean loss
+    raises DataError before the step, leaving the parameters untouched.
+    Returns the mean loss.
+    """
+    model.zero_grad()
+    total = 0.0
+    per_pass = max(1, model.config.max_seq // len(pairs[0][0]))
+    for i in range(0, len(pairs), per_pass):
+        total += teacher_forced_loss(model, pairs[i:i + per_pass], spec)
+    inv = 1.0 / len(pairs)
+    mean_loss = total * inv
+    if not np.isfinite(mean_loss):
+        raise DataError(f"non-finite training loss on {spec.name}")
+    for p in model.parameters():
+        if p.grad is not None:
+            p.grad *= inv
+    optimizer.step()
+    return mean_loss
+
+
 def pretrain(dataset: TrajectoryDataset, model: PopulationTransformer,
              cfg: PretrainConfig) -> list[tuple[int, float]]:
     """Shuffled mini-batch teacher forcing for ``cfg.steps`` Adam steps.
 
     Batches only mix pairs with equal (d, m, population size) so the padding
     pattern is uniform; groups and pairs are reshuffled every pass. Each
-    batch trains in stacked passes of at most ``max_seq // N`` pairs (at
-    least one), so one pass never holds more rows than one full-capacity
-    pair. Returns the logged (step, mean batch loss) curve.
+    batch is one :func:`train_step`. Returns the logged (step, mean batch
+    loss) curve.
     """
     if not dataset.pairs:
         raise DataError("cannot pretrain on an empty dataset")
@@ -119,9 +150,7 @@ def pretrain(dataset: TrajectoryDataset, model: PopulationTransformer,
     for pair in sorted(dataset.pairs, key=TrajectoryPair.sort_key):
         groups.setdefault(pair.group_key(), []).append(pair)
     rng = np.random.default_rng(cfg.seed)
-    model.optimizer = Adam(model.parameters(), lr=cfg.lr, beta1=cfg.beta1,
-                           beta2=cfg.beta2, weight_decay=cfg.weight_decay)
-    model.online_optimizer = None
+    optimizer = Adam(model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
 
     def batches():
         while True:
@@ -137,30 +166,21 @@ def pretrain(dataset: TrajectoryDataset, model: PopulationTransformer,
     stream = batches()
     for step in range(1, cfg.steps + 1):
         batch = next(stream)
-        model.zero_grad()
-        total = 0.0
-        per_pass = max(1, model.config.max_seq // batch[0].size)
-        for i in range(0, len(batch), per_pass):
-            chunk = batch[i:i + per_pass]
-            total += teacher_forced_loss(model, [(p.x_g, p.x_g1) for p in chunk],
-                                         chunk[0].unit_spec())
-        inv = 1.0 / len(batch)
-        for p in model.parameters():
-            if p.grad is not None:
-                p.grad *= inv
-        model.optimizer.lr = cfg.lr_at(step)
-        model.optimizer.step()
-        mean_loss = total * inv
-        if not np.isfinite(mean_loss):
-            raise DataError(f"non-finite training loss at step {step}")
+        try:
+            mean_loss = train_step(model, optimizer, [(p.x_g, p.x_g1) for p in batch],
+                                   batch[0].unit_spec())
+        except DataError as exc:
+            raise DataError(f"{exc} at step {step}") from exc
         if step % cfg.eval_every == 0 or step == cfg.steps or step == 1:
             curve.append((step, mean_loss))
     return curve
 
 
-def finetune_step(model: PopulationTransformer, x_g: Population, x_g1: Population,
-                  problem: Problem, cfg: FinetuneConfig, selected: np.ndarray) -> float | None:
-    """One online update: train toward the offspring that selection kept.
+def finetune_step(model: PopulationTransformer, optimizer: Adam | None, x_g: Population,
+                  x_g1: Population, problem: Problem, steps: int,
+                  selected: np.ndarray) -> float | None:
+    """One generation's online update: ``steps`` :func:`train_step` calls
+    toward the offspring that selection kept.
 
     ``selected`` is nsga2_select's choice over (parents u offspring) at the
     parent population size: indices into ``x_g`` followed by ``x_g1``, in
@@ -174,25 +194,19 @@ def finetune_step(model: PopulationTransformer, x_g: Population, x_g1: Populatio
     raw populations, so the context is normalized in the parents' objective
     frame exactly as in generation.
 
-    The optimizer is the online update's own Adam (``cfg.lr``, no weight
-    decay), created on the first update and kept across generations; it
-    never reuses pretraining's Adam state. Disabled or zero-step configs
-    leave the model untouched. Returns the last observed loss (or None).
+    ``optimizer`` is the run's own online Adam; zero steps leave the model
+    untouched and need none. Returns the last step's loss (None for zero
+    steps).
     """
-    if not cfg.enabled or cfg.steps_per_generation == 0:
+    if steps == 0:
         return None
     if not (x_g.all_evaluated and x_g1.all_evaluated):
         raise ContractViolation("online update requires evaluated populations")
     kept = selected[selected >= len(x_g)] - len(x_g)
     target = x_g1.take(kept) if len(kept) >= 2 else x_g.concat(x_g1).take(selected)
-    if model.online_optimizer is None or model.online_optimizer.lr != cfg.lr:
-        model.online_optimizer = Adam(model.parameters(), lr=cfg.lr, weight_decay=0.0)
-    loss = None
-    for _ in range(cfg.steps_per_generation):
-        model.zero_grad()
-        loss = teacher_forced_loss(model, [(x_g, target)], problem.spec)
-        model.online_optimizer.step()
-    return loss
+    losses = [train_step(model, optimizer, [(x_g, target)], problem.spec)
+              for _ in range(steps)]
+    return losses[-1]
 
 
 def run_nsga2_model(problem: Problem, model: PopulationTransformer, n_pop: int,
@@ -202,17 +216,21 @@ def run_nsga2_model(problem: Problem, model: PopulationTransformer, n_pop: int,
 
     The run loop is :func:`moea.run_generational`; the model writes each
     offspring generation (every member evaluated as produced), and after the
-    merge the online update runs. Its loss, and the IGD of the selected
-    population when ``reference_front`` is given, join the log entry; both
-    use the loop's one selection of the generation.
+    merge the online update runs with the run's own Adam (``fine_cfg.lr``,
+    no weight decay), so no optimizer state outlives the run. Its loss, and
+    the IGD of the selected population when ``reference_front`` is given,
+    join the log entry; both use the loop's one selection of the generation.
     """
     if n_pop > model.config.max_seq:
         raise CapacityError(f"population size {n_pop} exceeds model capacity "
                             f"{model.config.max_seq}")
+    steps = fine_cfg.steps_per_generation
+    optimizer = Adam(model.parameters(), lr=fine_cfg.lr) if steps else None
 
     def after_generation(parents: Population, offspring: Population,
                          selected: np.ndarray) -> dict:
-        entry = {"loss": finetune_step(model, parents, offspring, problem, fine_cfg, selected)}
+        entry = {"loss": finetune_step(model, optimizer, parents, offspring, problem, steps,
+                                       selected)}
         if reference_front is not None:
             survivors = np.concatenate([parents.f, offspring.f])[selected]
             entry["igd"] = igd(reference_front, survivors).value

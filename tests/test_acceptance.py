@@ -279,7 +279,7 @@ def test_c06_budget_exactness():
     model = PopulationTransformer(
         ModelConfig(d_hat=16, m_hat=4, width=16, layers=2, heads=2, max_seq=100), seed=0)
     learned = pf.run_nsga2_model(prob, model, 100, 1000, seed=0,
-                                 fine_cfg=pf.FinetuneConfig(enabled=False))
+                                 fine_cfg=pf.FinetuneConfig(steps_per_generation=0))
     ok &= learned.evaluations == 1000 and len(learned.log) == 9
     ok &= all(e["offspring_evaluated"] == 100 for e in learned.log)
 

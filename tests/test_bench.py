@@ -143,9 +143,14 @@ class TestRunBenchmark:
         json.dumps({**GOOD, "arms": []}),
         json.dumps({**GOOD, "alpha": 0}),
         json.dumps({**GOOD, "alpha": 1.5}),
+        json.dumps({**GOOD, "arms": [{"kind": "nsga2"}, {"kind": "learned", "lr": "fast"}]}),
+        json.dumps({**GOOD, "arms": [{"kind": "nsga2"}, {"kind": "learned", "lr": 0}]}),
+        json.dumps({**GOOD, "arms": [{"kind": "nsga2"},
+                                     {"kind": "learned", "steps_per_generation": 1.5}]}),
     ], ids=["malformed", "not-an-object", "no-problems", "unknown-key", "unknown-arm-key",
             "string-int", "float-int", "string-d", "bool-int", "n_pop-1", "evals-below-n_pop",
-            "empty-problems", "empty-arms", "alpha-0", "alpha-1.5"])
+            "empty-problems", "empty-arms", "alpha-0", "alpha-1.5", "string-lr", "zero-lr",
+            "float-steps"])
     def test_bad_config_rejected_before_any_cell(self, text, tmp_path, capsys):
         path = tmp_path / "grid.json"
         path.write_text(text)

@@ -24,6 +24,12 @@ class TestExitCodes:
     def test_runtime_failure_is_two(self, capsys):
         assert run_cli("pretrain", "--data", "/nonexistent.jsonl", "--out", "/tmp/x.petm") == 2
 
+    def test_bad_training_flag_names_the_setting(self, capsys):
+        assert run_cli("pretrain", "--data", "/nonexistent.jsonl", "--out", "/tmp/x.petm",
+                       "--lr", "nan") == 2
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "lr" in err
+
     def test_selftest_passes(self, capsys):
         assert run_cli("selftest") == 0
         out = capsys.readouterr().out

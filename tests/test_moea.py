@@ -23,7 +23,6 @@ from popformer import (
     run_random_search,
     sbx_crossover,
 )
-from popformer.dataset import TrajectorySink
 from popformer.errors import ConfigError, ContractViolation
 from popformer.moea import run_generational, sbx_pm_offspring
 from popformer.selftest import brute_force_ranks
@@ -456,15 +455,15 @@ class TestRunLoops:
 
     def test_trajectory_sink_receives_consecutive_pairs(self):
         prob = make_problem("zdt1", d=8)
-        sink = TrajectorySink()
+        sink = []
         run_nsga2(prob, 10, 100, seed=0, sink=sink)
         # 90 offspring evals -> 9 recorded generations -> 8 consecutive pairs
-        assert len(sink.pairs) == 8
-        for k, pair in enumerate(sink.pairs):
+        assert len(sink) == 8
+        for k, pair in enumerate(sink):
             assert pair.generation == k
             assert pair.size == 10
         # successor of pair k equals parent of pair k+1
-        for p1, p2 in zip(sink.pairs, sink.pairs[1:]):
+        for p1, p2 in zip(sink, sink[1:]):
             assert np.allclose(p1.x_g1.x, p2.x_g.x)
 
     @pytest.mark.parametrize("runner", ["nsga2", "cso", "random", "learned"])

@@ -27,6 +27,7 @@ from popformer import (
 from popformer import moea
 from popformer.errors import CapacityError, ConfigError, DataError
 from popformer.moea import nsga2_select
+from popformer.nn import Adam
 
 TOY = ModelConfig(d_hat=16, m_hat=4, width=16, layers=2, heads=2, max_seq=12)
 
@@ -44,6 +45,20 @@ def evaluated_pop(problem, n, seed=0, gen=0):
 def select(x_g, x_g1):
     """nsga2_select over parents u offspring at the parent size."""
     return nsga2_select(x_g.concat(x_g1), len(x_g))
+
+
+def online_update(model, x_g, x_g1, problem, selected):
+    """One-step finetune_step with a fresh online Adam, as a run's first
+    generation has at the default FinetuneConfig."""
+    return finetune_step(model, Adam(model.parameters(), lr=1e-4), x_g, x_g1, problem, 1,
+                         selected)
+
+
+def copy_of(model):
+    twin = PopulationTransformer(model.config, seed=0)
+    for src, dst in zip(model.parameters(), twin.parameters()):
+        dst.data = src.data.copy()
+    return twin
 
 
 def shift_pairs(n_pairs, pop_size=6, d=6, seed=0):
@@ -202,6 +217,30 @@ class TestDataset:
         assert np.all(pair.x_g.x >= 0) and np.all(pair.x_g.x <= 1)
 
 
+class TestTrainingConfigs:
+    @pytest.mark.parametrize("kwargs", [
+        {"eval_every": 0}, {"lr": float("nan")}, {"lr": 0.0}, {"lr": float("inf")},
+        {"lr": "fast"}, {"weight_decay": -0.1}, {"weight_decay": float("nan")},
+        {"steps": 1.5}, {"batch_size": True}, {"eval_every": 2.0},
+    ])
+    def test_bad_pretrain_config_rejected(self, kwargs):
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            PretrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"lr": float("nan")}, {"lr": -1e-4}, {"lr": "fast"},
+        {"steps_per_generation": 1.5}, {"steps_per_generation": -1},
+        {"steps_per_generation": True},
+    ])
+    def test_bad_finetune_config_rejected(self, kwargs):
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            FinetuneConfig(**kwargs)
+
+    def test_zero_weight_decay_and_zero_steps_accepted(self):
+        assert PretrainConfig(weight_decay=0.0).weight_decay == 0.0
+        assert FinetuneConfig(steps_per_generation=0).steps_per_generation == 0
+
+
 class TestPretrain:
     def test_loss_decreases_on_shift_family(self):
         _, pairs = shift_pairs(24, pop_size=6)
@@ -293,24 +332,16 @@ class TestFinetune:
 
     def test_zero_steps_leaves_parameters_bitwise(self):
         before = self.snapshot()
-        out = finetune_step(self.model, self.x_g, self.x_g1, self.problem,
-                            FinetuneConfig(steps_per_generation=0),
+        out = finetune_step(self.model, None, self.x_g, self.x_g1, self.problem, 0,
                             select(self.x_g, self.x_g1))
         assert out is None
         for a, b in zip(before, self.snapshot()):
             assert np.array_equal(a, b)
 
-    def test_disabled_leaves_parameters_bitwise(self):
-        before = self.snapshot()
-        finetune_step(self.model, self.x_g, self.x_g1, self.problem,
-                      FinetuneConfig(enabled=False), select(self.x_g, self.x_g1))
-        for a, b in zip(before, self.snapshot()):
-            assert np.array_equal(a, b)
-
     def test_one_step_changes_parameters(self):
         before = self.snapshot()
-        loss = finetune_step(self.model, self.x_g, self.x_g1, self.problem,
-                             FinetuneConfig(), select(self.x_g, self.x_g1))
+        loss = online_update(self.model, self.x_g, self.x_g1, self.problem,
+                             select(self.x_g, self.x_g1))
         assert loss is not None and np.isfinite(loss)
         assert any(not np.array_equal(a, b) for a, b in zip(before, self.snapshot()))
 
@@ -320,8 +351,7 @@ class TestFinetune:
         assert 2 <= len(kept) < 6
         want = teacher_forced_loss(PopulationTransformer(TOY, seed=5), [(self.x_g, self.x_g1.take(kept))],
                                    self.problem.spec)
-        got = finetune_step(self.model, self.x_g, self.x_g1, self.problem, FinetuneConfig(),
-                            selected)
+        got = online_update(self.model, self.x_g, self.x_g1, self.problem, selected)
         assert got == want
 
     def test_rejected_offspring_fall_back_to_survivors(self):
@@ -335,27 +365,40 @@ class TestFinetune:
         survivors = parents.concat(offspring).take(selected)
         want = teacher_forced_loss(PopulationTransformer(TOY, seed=5), [(parents, survivors)],
                                    problem.spec)
-        got = finetune_step(self.model, parents, offspring, problem, FinetuneConfig(),
-                            selected)
+        got = online_update(self.model, parents, offspring, problem, selected)
         assert got == want
 
     def test_pretrain_optimizer_not_reused_at_equal_lr(self):
-        # pretraining that ends at the online lr must not hand its Adam
-        # moments or weight decay to the online update
+        # pretraining at the online lr must not hand its Adam moments or
+        # weight decay to the online update: a run on the pretrained model
+        # equals a run on an untouched twin holding the same weights
         _, pairs = shift_pairs(4, pop_size=6, d=6, seed=0)
         trained = PopulationTransformer(TOY, seed=5)
         pretrain(TrajectoryDataset(pairs=pairs), trained,
-                 PretrainConfig(steps=4, batch_size=2, lr=1e-3, lr_final=1e-4, seed=0))
-        assert trained.optimizer.lr == 1e-4
-        twin = PopulationTransformer(TOY, seed=5)
-        for src, dst in zip(trained.parameters(), twin.parameters()):
-            dst.data = src.data.copy()
-        for model in (trained, twin):
-            finetune_step(model, self.x_g, self.x_g1, self.problem, FinetuneConfig(lr=1e-4),
-                          select(self.x_g, self.x_g1))
+                 PretrainConfig(steps=4, batch_size=2, lr=1e-4, seed=0))
+        twin = copy_of(trained)
+        finals = [run_nsga2_model(self.problem, model, 6, 30, seed=0,
+                                  fine_cfg=FinetuneConfig(lr=1e-4)).population.x
+                  for model in (trained, twin)]
+        assert np.array_equal(finals[0], finals[1])
         for a, b in zip(trained.parameters(), twin.parameters()):
             assert np.array_equal(a.data, b.data)
-        assert trained.online_optimizer.weight_decay == 0.0
+
+    def test_non_finite_loss_leaves_parameters_bitwise(self, monkeypatch):
+        real = pipeline.teacher_forced_loss
+
+        def poisoned(model, pairs, spec):
+            real(model, pairs, spec)
+            model.parameters()[0].grad[...] = np.nan
+            return float("nan")
+
+        monkeypatch.setattr(pipeline, "teacher_forced_loss", poisoned)
+        before = self.snapshot()
+        with pytest.raises(DataError, match="non-finite training loss"):
+            online_update(self.model, self.x_g, self.x_g1, self.problem,
+                          select(self.x_g, self.x_g1))
+        for a, b in zip(before, self.snapshot()):
+            assert np.array_equal(a, b)
 
     def test_descent_direction_statistics(self):
         # one update step lowers the same-pair loss in >= 80% of 50 random trials
@@ -370,7 +413,7 @@ class TestFinetune:
                                                    "t", seed, 0)
             before = teacher_forced_loss(model, [(pair.x_g, pair.x_g1)], pair.unit_spec())
             model.zero_grad()
-            finetune_step(model, x_g, x_g1, self.problem, FinetuneConfig(lr=1e-4), selected)
+            online_update(model, x_g, x_g1, self.problem, selected)
             after = teacher_forced_loss(model, [(pair.x_g, pair.x_g1)], pair.unit_spec())
             wins += after <= before
         assert wins >= 40
@@ -407,7 +450,7 @@ class TestModelRun:
         model = PopulationTransformer(TOY, seed=4)
         before = [p.data.copy() for p in model.parameters()]
         run_nsga2_model(problem, model, 8, 40, seed=0,
-                        fine_cfg=FinetuneConfig(enabled=False))
+                        fine_cfg=FinetuneConfig(steps_per_generation=0))
         for a, p in zip(before, model.parameters()):
             assert np.array_equal(a, p.data)
 
@@ -418,6 +461,19 @@ class TestModelRun:
         run_nsga2_model(problem, model, 8, 40, seed=0, fine_cfg=FinetuneConfig())
         assert any(not np.array_equal(a, p.data)
                    for a, p in zip(before, model.parameters()))
+
+    def test_second_run_starts_a_fresh_optimizer(self):
+        # Adam moments stay with the run that made them: a second run on a
+        # model equals a first run on a copy holding the same weights
+        problem = make_problem("zdt1", d=8)
+        model = PopulationTransformer(TOY, seed=4)
+        run_nsga2_model(problem, model, 8, 40, seed=0)
+        twin = copy_of(model)
+        finals = [run_nsga2_model(problem, m, 8, 40, seed=1).population.x
+                  for m in (model, twin)]
+        assert np.array_equal(finals[0], finals[1])
+        for a, b in zip(model.parameters(), twin.parameters()):
+            assert np.array_equal(a.data, b.data)
 
     def test_seeded_run_reproducible(self):
         problem = make_problem("zdt6", d=8)
