@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error, 2 runtime failure. Machine-readable
+Exit codes: 0 success, 1 usage error (a bad argument, or a flag value or
+config file that raises ConfigError), 2 runtime failure. Machine-readable
 outputs keep full double precision; text tables round to 3 significant digits.
 """
 from __future__ import annotations
@@ -11,6 +12,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+from .errors import ConfigError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -189,7 +192,7 @@ def main(argv=None) -> int:
         raise
     except Exception as exc:
         print(f"popformer: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ConfigError) else 2
     return code
 
 

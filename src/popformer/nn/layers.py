@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, ShapeError
-from .tensor import Tensor, add, matmul, relu, scale, softmax
+from .tensor import Tensor, add, matmul, relu, softmax
 from .tensor import layer_norm as _layer_norm
 
 
@@ -102,13 +102,13 @@ def merge_heads(t: Tensor) -> Tensor:
 def attend(qh: Tensor, kh: Tensor, vh: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """Scaled dot-product attention over per-head (..., H, s, dk) slices.
 
-    Scores are scaled by 1/sqrt(dk); mask (broadcastable to (..., H, sq, sk),
+    Scores are scaled by 1/sqrt(dk) inside the softmax, so the scaled
+    scores are never recorded; mask (broadcastable to (..., H, sq, sk),
     True = attend) hides positions before normalization. Returns
     (..., H, sq, dk).
     """
-    dk = qh.shape[-1]
-    scores = scale(qh @ kh.swapaxes(-1, -2), 1.0 / math.sqrt(dk))  # (..., H, sq, sk)
-    return softmax(scores, mask=mask) @ vh
+    scores = qh @ kh.swapaxes(-1, -2)  # (..., H, sq, sk)
+    return softmax(scores, mask=mask, factor=1.0 / math.sqrt(qh.shape[-1])) @ vh
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, p: AttentionParams,

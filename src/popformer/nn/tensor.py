@@ -3,10 +3,13 @@
 Primitives record onto the innermost active :class:`Tape`; the record order is
 the execution order, which is already topological, so one reverse walk
 completes every consumer's gradient before the producer runs its backward
-rule. Without an active tape, primitives are plain numpy math. relu,
-logistic, softmax, layer_norm, scale, reshape and swapaxes also take their
-activation as a plain ndarray, a constant, and return the plain array their
-Tensor form computes: inference builds no Tensor at all.
+rule. The walk pops each node as it runs that rule, so an intermediate the
+caller does not hold is freed, with its data, gradient and the arrays its
+rule captured, as soon as no later rule can need it. Without an active tape,
+primitives are plain numpy math. relu, logistic, softmax, layer_norm, scale,
+reshape and swapaxes also take their activation as a plain ndarray, a
+constant, and return the plain array their Tensor form computes: inference
+builds no Tensor at all.
 """
 from __future__ import annotations
 
@@ -65,7 +68,8 @@ def const(data) -> Tensor:
 
 
 class Tape:
-    """Execution-ordered record of primitives; supports exactly one backward pass."""
+    """Execution-ordered record of primitives; supports exactly one backward pass,
+    which empties it."""
 
     def __init__(self):
         self._nodes: list[tuple[Tensor, object]] = []
@@ -95,7 +99,9 @@ class Tape:
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
         loss.grad = np.ones_like(loss.data)
-        for out, backward in reversed(self._nodes):
+        nodes = self._nodes
+        while nodes:
+            out, backward = nodes.pop()
             if out.grad is not None:
                 backward(out.grad)
 
@@ -278,14 +284,17 @@ def mean_all(a: Tensor) -> Tensor:
     return scale(sum_all(a), 1.0 / a.data.size)
 
 
-def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Row softmax over the last axis, numerically stabilized.
+def softmax(a: Tensor, mask: np.ndarray | None = None, factor: float = 1.0) -> Tensor:
+    """Row softmax of ``factor * a`` over the last axis, numerically stabilized.
 
     ``mask`` is a boolean array broadcastable to ``a`` with True = keep;
     masked entries get probability 0. Fully masked rows come back as all
-    zeros with a warning, since no distribution exists there.
+    zeros with a warning, since no distribution exists there. The scaled
+    logits are a temporary, not a recorded activation, and both value and
+    gradient equal ``softmax(scale(a, factor))`` bitwise.
     """
-    z = _values(a)
+    factor = float(factor)
+    z = _values(a) * factor
     if mask is not None:
         keep = np.broadcast_to(np.asarray(mask, dtype=bool), z.shape)
         z = np.where(keep, z, -np.inf)
@@ -301,7 +310,7 @@ def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
 
     def backward(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
-        _accum(a, out * (g - dot))
+        _accum(a, out * (g - dot) * factor)
 
     return _emit(out, (a,), backward)
 

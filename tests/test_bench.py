@@ -156,7 +156,7 @@ class TestRunBenchmark:
         path.write_text(text)
         with pytest.raises(ConfigError, match="grid.json"):
             ExperimentConfig.from_json(text, source=str(path))
-        assert main(["benchmark", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert main(["benchmark", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert "ConfigError" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 

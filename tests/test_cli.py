@@ -26,7 +26,7 @@ class TestExitCodes:
 
     def test_bad_training_flag_names_the_setting(self, capsys):
         assert run_cli("pretrain", "--data", "/nonexistent.jsonl", "--out", "/tmp/x.petm",
-                       "--lr", "nan") == 2
+                       "--lr", "nan") == 1
         err = capsys.readouterr().err
         assert "ConfigError" in err and "lr" in err
 

@@ -1,7 +1,12 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
+from popformer.core import EvaluationBudget, Population, evaluate
 from popformer.errors import ShapeError, TapeError
+from popformer.model import ModelConfig, PopulationTransformer
 from popformer.nn import (
     Adam,
     Tape,
@@ -32,6 +37,7 @@ from popformer.nn import (
 )
 from popformer.nn.layers import LinearParams, MlpParams, NormParams
 from popformer.nn.tensor import _emit
+from popformer.problems import make_problem
 
 
 def leaf(data):
@@ -191,6 +197,32 @@ class TestSoftmax:
             return sum_all(mul(softmax(x), w))
 
         assert gradient_check(loss, [x])["max_rel_err"] <= 1e-6
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    def test_factor_is_scale_then_softmax_bitwise(self, masked):
+        rng = np.random.default_rng(4)
+        scores = rng.normal(size=(2, 3, 5, 5)) * 4.0
+        probe = const(rng.normal(size=scores.shape))
+        mask = causal_mask(5) if masked else None
+        factor = 1.0 / np.sqrt(7.0)
+
+        def run(op):
+            x = leaf(scores)
+            with Tape() as tape:
+                out = op(x)
+                loss = sum_all(mul(out, probe))
+            tape.backward(loss)
+            return out.data, x.grad
+
+        want = run(lambda x: softmax(scale(x, factor), mask=mask))
+        got = run(lambda x: softmax(x, mask=mask, factor=factor))
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert np.array_equal(softmax(scores, mask=mask, factor=factor), want[0])
+        x = leaf(scores[0, 0])
+        report = gradient_check(
+            lambda: sum_all(mul(softmax(x, mask=mask, factor=factor), const(probe.data[0, 0]))),
+            [x])
+        assert report["max_rel_err"] <= 1e-6
 
 
 class TestLayerNorm:
@@ -395,6 +427,44 @@ class TestTape:
         tape.backward(loss)
         assert np.array_equal(y.grad, w.data)
         assert np.array_equal(x.grad, w.data.reshape(2, 3) + 0.5)
+
+    def test_backward_releases_intermediates(self):
+        rng = np.random.default_rng(0)
+        x, w = leaf(rng.normal(size=(3, 4))), leaf(rng.normal(size=(4, 4)))
+        with Tape() as tape:
+            mid = matmul(x, w)
+            gone = weakref.ref(mid.data)
+            kept = relu(mid)
+            loss = sum_all(mul(kept, kept))
+            del mid
+        tape.backward(loss)
+        assert len(tape) == 0
+        assert gone() is None
+        # a held intermediate keeps its gradient, and leaves get theirs
+        assert np.array_equal(kept.grad, 2.0 * kept.data)
+        assert x.grad is not None and w.grad is not None
+
+    def test_backward_peak_is_near_the_forward_activations(self):
+        problem = make_problem("zdt1", d=8)
+        rng = np.random.default_rng(1)
+
+        def population():
+            return evaluate(Population(rng.random((12, 8))), problem, EvaluationBudget(100))
+
+        pairs = [(population(), population()) for _ in range(4)]
+        model = PopulationTransformer(
+            ModelConfig(d_hat=16, m_hat=4, width=16, layers=2, heads=2, max_seq=12), seed=0)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                loss = model.forced_loss(pairs, problem.spec)
+            after_forward = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * after_forward
 
     def test_gradient_accumulates_across_reuse(self):
         x = leaf([2.0])
