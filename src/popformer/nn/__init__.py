@@ -10,12 +10,10 @@ from .layers import (
     causal_mask,
     layer_norm,
     linear,
-    merge_heads,
     mlp_block,
     mlp_params,
     multi_head_attention,
     norm_params,
-    split_heads,
     uniform_linear,
 )
 from .optim import Adam
@@ -27,11 +25,13 @@ from .tensor import (
     logistic,
     matmul,
     mean_all,
+    merge_heads,
     mul,
     relu,
     reshape,
     scale,
     softmax,
+    split_heads,
     sub,
     sum_all,
     swapaxes,

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, ShapeError
-from .tensor import Tensor, add, matmul, relu, softmax
+from .tensor import Tensor, attention, relu, softmax
 from .tensor import layer_norm as _layer_norm
+from .tensor import linear as _linear
 
 
 @dataclass
@@ -70,9 +70,7 @@ def mlp_params(rng: np.random.Generator, width: int, hidden: int) -> MlpParams:
 
 
 def linear(x: Tensor, p: LinearParams) -> Tensor:
-    if isinstance(x, np.ndarray):
-        return x @ p.w.data + p.b.data
-    return add(matmul(x, p.w), p.b)
+    return _linear(x, p.w, p.b)
 
 
 def layer_norm(x: Tensor, p: NormParams) -> Tensor:
@@ -86,17 +84,6 @@ def mlp_block(x: Tensor, p: MlpParams) -> Tensor:
 def causal_mask(n: int) -> np.ndarray:
     """Boolean (n, n) mask where position i may attend to positions <= i."""
     return np.tril(np.ones((n, n), dtype=bool))
-
-
-def split_heads(t: Tensor, heads: int) -> Tensor:
-    """(..., s, D) rows to (..., heads, s, D/heads) per-head slices."""
-    return t.reshape(t.shape[:-1] + (heads, t.shape[-1] // heads)).swapaxes(-3, -2)
-
-
-def merge_heads(t: Tensor) -> Tensor:
-    """Inverse of :func:`split_heads`: (..., heads, s, dk) to (..., s, heads * dk)."""
-    *outer, heads, s, dk = t.shape
-    return t.swapaxes(-3, -2).reshape((*outer, s, heads * dk))
 
 
 def attend(qh: Tensor, kh: Tensor, vh: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -113,19 +100,13 @@ def attend(qh: Tensor, kh: Tensor, vh: Tensor, mask: np.ndarray | None = None) -
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, p: AttentionParams,
                          heads: int, mask: np.ndarray | None = None) -> Tensor:
-    """Scaled dot-product attention with per-head projections.
+    """Scaled dot-product attention with per-head projections, one tape node.
 
     q is (..., sq, D); k and v are (..., sk, D) with the same leading axes,
     so a stack of sequences attends each within itself. Queries, keys and
-    values are projected and split into D/heads-wide heads, mixed by
-    :func:`attend`, merged and projected out; mask (broadcastable to
-    (sq, sk), True = attend) hides positions before normalization.
+    values are projected and split into D/heads-wide heads, mixed as
+    :func:`attend` mixes them, merged and projected out; mask
+    (broadcastable to (sq, sk), True = attend) hides positions before
+    normalization. See :func:`popformer.nn.tensor.attention`.
     """
-    width = q.shape[-1]
-    if width % heads != 0:
-        raise ConfigError(f"width {width} not divisible by {heads} heads")
-    if k.shape != v.shape or k.shape[:-2] != q.shape[:-2] or k.shape[-1] != width:
-        raise ShapeError(f"attention inputs disagree: q{q.shape} k{k.shape} v{v.shape}")
-    mixed = attend(split_heads(linear(q, p.q), heads), split_heads(linear(k, p.k), heads),
-                   split_heads(linear(v, p.v), heads), mask=mask)
-    return linear(merge_heads(mixed), p.out)
+    return attention(q, k, v, [(lin.w, lin.b) for lin in (p.q, p.k, p.v, p.out)], heads, mask)

@@ -6,18 +6,24 @@ completes every consumer's gradient before the producer runs its backward
 rule. The walk pops each node as it runs that rule, so an intermediate the
 caller does not hold is freed, with its data, gradient and the arrays its
 rule captured, as soon as no later rule can need it. Without an active tape,
-primitives are plain numpy math. relu, logistic, softmax, layer_norm, scale,
-reshape and swapaxes also take their activation as a plain ndarray, a
-constant, and return the plain array their Tensor form computes: inference
-builds no Tensor at all.
+primitives are plain numpy math. relu, logistic, softmax, layer_norm, linear,
+attention, scale, reshape and swapaxes also take their activation as a plain
+ndarray, a constant, and return the plain array their Tensor form computes:
+inference builds no Tensor at all.
+
+``linear`` and ``attention`` are fused: each records one node whose backward
+rule is derived by hand, where the same math composed from the other
+primitives would record several (the composites stay in the tests as the
+oracle).
 """
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
 
-from ..errors import ShapeError, TapeError
+from ..errors import ConfigError, ShapeError, TapeError
 
 _TAPE_STACK: list["Tape"] = []
 
@@ -110,11 +116,15 @@ def _active_tape() -> Tape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add ``g`` to ``t``'s gradient. A first gradient is copied, since ``g``
+    may be a view and later gradients add in place, unless ``fresh`` says
+    the caller just computed ``g`` and holds it nowhere else: then the
+    gradient takes the array over."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = g.copy()  # g may be a view, and later gradients add in place
+        t.grad = g if fresh else g.copy()
     else:
         t.grad += g
 
@@ -166,7 +176,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             _accum(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
-            _accum(b, -_unbroadcast(g, b.shape))
+            _accum(b, -_unbroadcast(g, b.shape), fresh=True)
 
     return _emit(out, (a, b), backward)
 
@@ -176,9 +186,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.shape))
+            _accum(a, _unbroadcast(g * b.data, a.shape), fresh=True)
         if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.shape))
+            _accum(b, _unbroadcast(g * a.data, b.shape), fresh=True)
 
     return _emit(out, (a, b), backward)
 
@@ -187,7 +197,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
 
     def backward(g):
-        _accum(a, g * c)
+        _accum(a, g * c, fresh=True)
 
     return _emit(_values(a) * c, (a,), backward)
 
@@ -211,9 +221,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         # the transpose of the last two axes, for 2-d and stacked operands
         if a.requires_grad:
-            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape), fresh=True)
         if b.requires_grad:
-            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape), fresh=True)
 
     return _emit(out, (a, b), backward)
 
@@ -229,18 +239,131 @@ def _rows_matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         g = g.reshape(-1, m)
         if a.requires_grad:
-            _accum(a, (g @ b.data.T).reshape(a.shape))
+            _accum(a, (g @ b.data.T).reshape(a.shape), fresh=True)
         if b.requires_grad:
-            _accum(b, rows.T @ g)
+            _accum(b, rows.T @ g, fresh=True)
 
     return _emit(out, (a, b), backward)
+
+
+def _linear_backward(g: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor,
+                     want_x: bool) -> np.ndarray | None:
+    """Accumulate the gradients of ``w`` and ``b`` in ``x @ w + b`` from the
+    output gradient ``g``, and return x's gradient if ``want_x``."""
+    k, m = w.shape
+    g_rows = g.reshape(-1, m)
+    if w.requires_grad:
+        _accum(w, x.reshape(-1, k).T @ g_rows, fresh=True)
+    if b.requires_grad:
+        _accum(b, g.sum(axis=tuple(range(g.ndim - 1))), fresh=True)
+    return (g_rows @ w.data.T).reshape(x.shape) if want_x else None
+
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w + b`` with every leading row of ``x`` in one 2-d product."""
+    k, m = w.shape
+    return (x.reshape(-1, k) @ w).reshape(x.shape[:-1] + (m,)) + b
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` over the last axis of ``x`` as one node, every leading
+    row in one 2-d product; value and gradients equal ``add(matmul(x, w), b)``.
+
+    A plain-array ``x`` returns ``x @ w + b`` at once, without the node's
+    set-up: inference makes about 17 one-row calls per decoded row.
+    """
+    if isinstance(x, np.ndarray):
+        return x @ w.data + b.data
+    if x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear shape mismatch: {x.shape} @ {w.shape}")
+    out = _affine(x.data, w.data, b.data)
+
+    def backward(g):
+        dx = _linear_backward(g, x.data, w, b, x.requires_grad)
+        if dx is not None:
+            _accum(x, dx, fresh=True)
+
+    return _emit(out, (x, w, b), backward)
+
+
+def split_heads(t: Tensor, heads: int) -> Tensor:
+    """(..., s, D) rows to (..., heads, s, D/heads) per-head slices."""
+    return t.reshape(t.shape[:-1] + (heads, t.shape[-1] // heads)).swapaxes(-3, -2)
+
+
+def merge_heads(t: Tensor) -> Tensor:
+    """Inverse of :func:`split_heads`: (..., heads, s, dk) to (..., s, heads * dk)."""
+    *outer, heads, s, dk = t.shape
+    return t.swapaxes(-3, -2).reshape((*outer, s, heads * dk))
+
+
+def attention(q: Tensor, k: Tensor | np.ndarray, v: Tensor | np.ndarray,
+              projections: list[tuple[Tensor, Tensor]], heads: int,
+              mask: np.ndarray | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention as one node.
+
+    ``projections`` holds the (w, b) pairs of the query, key, value and out
+    projections. q is (..., sq, D); k and v are (..., sk, D) with the same
+    leading axes. Each is projected and split into D/heads-wide heads, the
+    scores are scaled by 1/sqrt(D/heads) inside the softmax, where mask
+    (broadcastable to (..., heads, sq, sk), True = attend) hides positions,
+    and the mixed heads are merged and projected out. A plain-array k or v
+    is a constant, and so is its projection, as a plain operand of
+    :func:`linear` would be.
+
+    The backward rule keeps the inputs, the per-head queries, keys and
+    values, the probabilities and the merged heads. Inputs that are one
+    Tensor, as in self-attention, have their gradients summed before a
+    single accumulation.
+    """
+    width = q.shape[-1]
+    if width % heads != 0:
+        raise ConfigError(f"width {width} not divisible by {heads} heads")
+    if k.shape != v.shape or k.shape[:-2] != q.shape[:-2] or k.shape[-1] != width:
+        raise ShapeError(f"attention inputs disagree: q{q.shape} k{k.shape} v{v.shape}")
+    factor = 1.0 / math.sqrt(width // heads)
+    (wq, bq), (wk, bk), (wv, bv), (wo, bo) = projections
+    qh, kh, vh = (split_heads(_affine(_values(x), w.data, b.data), heads)
+                  for x, w, b in ((q, wq, bq), (k, wk, bk), (v, wv, bv)))
+    probs = _softmax_rows(qh @ kh.swapaxes(-1, -2), mask, factor)
+    merged = merge_heads(probs @ vh)
+    out = _affine(merged, wo.data, bo.data)
+    # the value projection first, in the order the composite's reverse walk
+    # reaches them, so self-attention sums its input gradients as it does
+    inputs = ((v, wv, bv), (k, wk, bk), (q, wq, bq))
+
+    def backward(g):
+        d_mixed = split_heads(_linear_backward(g, merged, wo, bo, True), heads)
+        d_scores = _softmax_backward(d_mixed @ vh.swapaxes(-1, -2), probs, factor)
+        d_heads = (probs.swapaxes(-1, -2) @ d_mixed,
+                   (qh.swapaxes(-1, -2) @ d_scores).swapaxes(-1, -2),
+                   d_scores @ kh)
+        summed: dict[int, list] = {}
+        for (x, w, b), dh in zip(inputs, d_heads):
+            if not isinstance(x, Tensor):
+                continue
+            # merging the keys' doubly swapped heads can give a strided
+            # view; a contiguous copy sums the bias gradient in row order
+            dx = _linear_backward(np.ascontiguousarray(merge_heads(dh)), x.data, w, b,
+                                  x.requires_grad)
+            if dx is None:
+                continue
+            if id(x) in summed:
+                summed[id(x)][1] += dx
+            else:
+                summed[id(x)] = [x, dx]
+        for x, dx in summed.values():
+            _accum(x, dx, fresh=True)
+
+    tracked = [t for x, w, b in inputs if isinstance(x, Tensor) for t in (x, w, b)]
+    return _emit(out, (q, wo, bo, *tracked), backward)
 
 
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(_values(a), 0.0)
 
     def backward(g):
-        _accum(a, g * (a.data > 0.0))
+        _accum(a, g * (a.data > 0.0), fresh=True)
 
     return _emit(out, (a,), backward)
 
@@ -251,7 +374,7 @@ def logistic(a: Tensor) -> Tensor:
     out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward(g):
-        _accum(a, g * out * (1.0 - out))
+        _accum(a, g * out * (1.0 - out), fresh=True)
 
     return _emit(out, (a,), backward)
 
@@ -275,13 +398,38 @@ def swapaxes(a: Tensor, axis1: int, axis2: int) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     def backward(g):
-        _accum(a, np.broadcast_to(g, a.shape).copy())
+        _accum(a, np.broadcast_to(g, a.shape).copy(), fresh=True)
 
     return _emit(np.asarray(a.data.sum()), (a,), backward)
 
 
 def mean_all(a: Tensor) -> Tensor:
     return scale(sum_all(a), 1.0 / a.data.size)
+
+
+def _softmax_rows(z: np.ndarray, mask: np.ndarray | None, factor: float) -> np.ndarray:
+    """Row softmax of ``factor * z`` over the last axis, numerically
+    stabilized; entries where the broadcast boolean ``mask`` is False get
+    probability 0, and a fully masked row is all zeros, with a warning."""
+    z = z * factor
+    if mask is not None:
+        keep = np.broadcast_to(np.asarray(mask, dtype=bool), z.shape)
+        z = np.where(keep, z, -np.inf)
+    zmax = z.max(axis=-1, keepdims=True)
+    zmax = np.where(np.isfinite(zmax), zmax, 0.0)
+    e = np.exp(z - zmax)
+    denom = e.sum(axis=-1, keepdims=True)
+    degenerate = denom == 0.0
+    if degenerate.any():
+        warnings.warn("softmax: fully masked row(s) mapped to all-zero output",
+                      RuntimeWarning, stacklevel=3)
+    return e / np.where(degenerate, 1.0, denom)
+
+
+def _softmax_backward(g: np.ndarray, out: np.ndarray, factor: float) -> np.ndarray:
+    """Gradient of the scaled logits given the gradient ``g`` of the probabilities ``out``."""
+    dot = (g * out).sum(axis=-1, keepdims=True)
+    return out * (g - dot) * factor
 
 
 def softmax(a: Tensor, mask: np.ndarray | None = None, factor: float = 1.0) -> Tensor:
@@ -294,23 +442,10 @@ def softmax(a: Tensor, mask: np.ndarray | None = None, factor: float = 1.0) -> T
     gradient equal ``softmax(scale(a, factor))`` bitwise.
     """
     factor = float(factor)
-    z = _values(a) * factor
-    if mask is not None:
-        keep = np.broadcast_to(np.asarray(mask, dtype=bool), z.shape)
-        z = np.where(keep, z, -np.inf)
-    zmax = z.max(axis=-1, keepdims=True)
-    zmax = np.where(np.isfinite(zmax), zmax, 0.0)
-    e = np.exp(z - zmax)
-    denom = e.sum(axis=-1, keepdims=True)
-    degenerate = denom == 0.0
-    if degenerate.any():
-        warnings.warn("softmax: fully masked row(s) mapped to all-zero output",
-                      RuntimeWarning, stacklevel=2)
-    out = e / np.where(degenerate, 1.0, denom)
+    out = _softmax_rows(_values(a), mask, factor)
 
     def backward(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        _accum(a, out * (g - dot) * factor)
+        _accum(a, _softmax_backward(g, out, factor), fresh=True)
 
     return _emit(out, (a,), backward)
 
@@ -332,11 +467,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def backward(g):
         lead = tuple(range(g.ndim - 1))
-        _accum(bias, g.sum(axis=lead))
-        _accum(gain, (g * xhat).sum(axis=lead))
+        _accum(bias, g.sum(axis=lead), fresh=True)
+        _accum(gain, (g * xhat).sum(axis=lead), fresh=True)
         dxhat = g * gain.data
         term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
             - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        _accum(x, inv * term)
+        _accum(x, inv * term, fresh=True)
 
     return _emit(out, (x, gain, bias), backward)

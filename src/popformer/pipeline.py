@@ -115,9 +115,13 @@ def train_step(model: PopulationTransformer, optimizer: Adam,
     least one), so one pass never holds more rows than one full-capacity
     pair. Gradients are averaged over the pairs. A non-finite mean loss
     raises DataError before the step, leaving the parameters untouched.
+    ``optimizer`` holds the model's parameters: its list is the one zeroed
+    and scaled, which spares two walks of the parameter tree per step.
     Returns the mean loss.
     """
-    model.zero_grad()
+    params = optimizer.params
+    for p in params:
+        p.grad = None
     total = 0.0
     per_pass = max(1, model.config.max_seq // len(pairs[0][0]))
     for i in range(0, len(pairs), per_pass):
@@ -126,7 +130,7 @@ def train_step(model: PopulationTransformer, optimizer: Adam,
     mean_loss = total * inv
     if not np.isfinite(mean_loss):
         raise DataError(f"non-finite training loss on {spec.name}")
-    for p in model.parameters():
+    for p in params:
         if p.grad is not None:
             p.grad *= inv
     optimizer.step()

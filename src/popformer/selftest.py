@@ -17,7 +17,18 @@ from .core import (
 from .metrics import igd, wilcoxon_rank_sum
 from .model import ModelConfig, PopulationTransformer
 from .moea import fast_nondominated_sort
-from .nn import Tensor, const, gradient_check, layer_norm, linear, mul, sum_all
+from .nn import (
+    Tensor,
+    attention_params,
+    causal_mask,
+    const,
+    gradient_check,
+    layer_norm,
+    linear,
+    mul,
+    multi_head_attention,
+    sum_all,
+)
 from .nn.layers import LinearParams, NormParams
 from .problems import make_problem
 
@@ -71,8 +82,20 @@ def check_gradients() -> bool:
         h = linear(x, LinearParams(w, b))
         return sum_all(mul(layer_norm(h, NormParams(gain, bias)), probe))
 
-    report = gradient_check(loss, [w, b, gain, bias])
-    return report["max_rel_err"] <= 1e-4
+    # the fused attention rule: masked self-attention over a stack of two
+    # sequences, four rows of width 8 in two heads
+    attn = attention_params(rng, 8)
+    seq = Tensor(rng.normal(size=(2, 4, 8)), requires_grad=True)
+    seq_probe = const(rng.normal(size=(2, 4, 8)))
+    mask = causal_mask(4)
+
+    def attention_loss():
+        return sum_all(mul(multi_head_attention(seq, seq, seq, attn, 2, mask=mask), seq_probe))
+
+    attn_params = [seq] + [t for lin in (attn.q, attn.k, attn.v, attn.out) for t in (lin.w, lin.b)]
+    reports = [gradient_check(loss, [w, b, gain, bias]),
+               gradient_check(attention_loss, attn_params)]
+    return all(report["max_rel_err"] <= 1e-4 for report in reports)
 
 
 def redecode_offspring(model: PopulationTransformer, parents: Population,

@@ -12,6 +12,7 @@ from popformer.nn import (
     Tape,
     Tensor,
     add,
+    attend,
     causal_mask,
     const,
     gradient_check,
@@ -26,10 +27,12 @@ from popformer.nn import (
     norm_params,
     layer_norm,
     linear,
+    merge_heads,
     relu,
     reshape,
     scale,
     softmax,
+    split_heads,
     sub,
     sum_all,
     swapaxes,
@@ -42,6 +45,27 @@ from popformer.problems import make_problem
 
 def leaf(data):
     return Tensor(np.asarray(data, dtype=float), requires_grad=True)
+
+
+def composite_linear(x, p):
+    """``linear`` composed from matmul and add; a plain array stays off the tape."""
+    if isinstance(x, np.ndarray):
+        return x @ p.w.data + p.b.data
+    return add(matmul(x, p.w), p.b)
+
+
+def composite_attention(q, k, v, p, heads, mask=None):
+    """The attention block composed from unfused primitives: projections,
+    split_heads, attend, merge_heads and the out projection, twenty nodes.
+    The oracle for the fused rule."""
+    mixed = attend(split_heads(composite_linear(q, p.q), heads),
+                   split_heads(composite_linear(k, p.k), heads),
+                   split_heads(composite_linear(v, p.v), heads), mask=mask)
+    return composite_linear(merge_heads(mixed), p.out)
+
+
+def attention_leaves(p):
+    return [t for lin in (p.q, p.k, p.v, p.out) for t in (lin.w, lin.b)]
 
 
 class TestMatmul:
@@ -309,6 +333,134 @@ class TestAttention:
         x = const(rng.normal(size=(3, 8)))
         with pytest.raises(Exception):
             multi_head_attention(x, x, x, p, heads=3)
+
+
+class TestFusedRules:
+    """linear and attention are one node each, with hand-derived backward
+    rules that agree with the composites and with finite differences."""
+
+    def test_linear_finite_differences_on_stacked_rows(self):
+        rng = np.random.default_rng(10)
+        x = leaf(rng.normal(size=(2, 3, 5)))
+        p = uniform_linear(rng, 5, 4)
+        p.b.data = rng.normal(size=4)
+        probe = const(rng.normal(size=(2, 3, 4)))
+        report = gradient_check(lambda: sum_all(mul(linear(x, p), probe)), [x, p.w, p.b])
+        assert report["max_rel_err"] <= 1e-6
+
+    def test_linear_is_one_node_equal_to_the_composite(self):
+        rng = np.random.default_rng(11)
+        p = uniform_linear(rng, 5, 4)
+        x = leaf(rng.normal(size=(2, 3, 5)))
+        probe = const(rng.normal(size=(2, 3, 4)))
+        results = []
+        for op in (linear, composite_linear):
+            x.grad = p.w.grad = p.b.grad = None
+            with Tape() as tape:
+                out = op(x, p)
+                nodes = len(tape)
+                loss = sum_all(mul(out, probe))
+            tape.backward(loss)
+            results.append((nodes, out.data, x.grad, p.w.grad, p.b.grad))
+        assert (results[0][0], results[1][0]) == (1, 2)
+        for got, want in zip(results[0][1:], results[1][1:]):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_cross_attention_finite_differences_with_longer_memory(self):
+        rng = np.random.default_rng(12)
+        p = attention_params(rng, 8)
+        y = leaf(rng.normal(size=(2, 3, 8)))
+        memory = leaf(rng.normal(size=(2, 5, 8)))
+        probe = const(rng.normal(size=(2, 3, 8)))
+
+        def loss():
+            return sum_all(mul(multi_head_attention(y, memory, memory, p, 2), probe))
+
+        report = gradient_check(loss, [y, memory] + attention_leaves(p))
+        assert report["max_rel_err"] <= 1e-4
+
+    @pytest.mark.parametrize("case", ["self-causal", "cross-tensor-memory", "cross-plain-memory"])
+    def test_values_and_gradients_match_the_composite(self, case):
+        rng = np.random.default_rng(13)
+        p = attention_params(rng, 8)
+        for lin in (p.q, p.k, p.v, p.out):
+            lin.b.data = rng.normal(size=8)
+        y = leaf(rng.normal(size=(3, 4, 8)))
+        mask = None
+        if case == "self-causal":
+            kv, mask = y, causal_mask(4)
+        elif case == "cross-tensor-memory":
+            kv = leaf(rng.normal(size=(3, 6, 8)))
+        else:
+            kv = rng.normal(size=(3, 6, 8))
+        probe = const(rng.normal(size=(3, 4, 8)))
+        leaves = [y] + ([kv] if isinstance(kv, Tensor) and kv is not y else []) \
+            + attention_leaves(p)
+        results = []
+        for op in (multi_head_attention, composite_attention):
+            for t in leaves:
+                t.grad = None
+            with Tape() as tape:
+                out = op(y, kv, kv, p, 2, mask=mask)
+                loss = sum_all(mul(out, probe))
+            tape.backward(loss)
+            results.append([out.data] + [t.grad for t in leaves])
+        for got, want in zip(*results):
+            if want is None:  # a plain memory's projections are constants
+                assert got is None
+            else:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert (p.k.w.grad is None) == (case == "cross-plain-memory")
+
+    def test_attention_is_one_node(self):
+        rng = np.random.default_rng(14)
+        p = attention_params(rng, 8)
+        x = leaf(rng.normal(size=(2, 3, 8)))
+        counts = []
+        for op in (multi_head_attention, composite_attention):
+            with Tape() as tape:
+                op(x, x, x, p, 2, mask=causal_mask(3))
+            counts.append(len(tape))
+        assert counts == [1, 20]
+
+    def test_fully_masked_row_warns_and_mixes_nothing(self):
+        rng = np.random.default_rng(15)
+        p = attention_params(rng, 8)
+        p.out.b.data = rng.normal(size=8)
+        x = leaf(rng.normal(size=(3, 8)))
+        mask = causal_mask(3)
+        mask[1] = False
+        with pytest.warns(RuntimeWarning, match="fully masked"):
+            out = multi_head_attention(x, x, x, p, 2, mask=mask)
+        # the row's probabilities are all zero, so only the out bias is left
+        assert np.array_equal(out.data[1], p.out.b.data)
+
+    def test_parameter_gradients_share_no_memory(self):
+        # fused rules hand their fresh arrays to _accum without a copy
+        problem = make_problem("zdt1", d=5)
+        rng = np.random.default_rng(17)
+        pops = [evaluate(Population(rng.random((6, 5))), problem, EvaluationBudget(6))
+                for _ in range(4)]
+        model = PopulationTransformer(
+            ModelConfig(d_hat=8, m_hat=4, width=16, layers=2, heads=2, max_seq=12), seed=0)
+        with Tape() as tape:
+            loss = model.forced_loss([(pops[0], pops[1]), (pops[2], pops[3])], problem.spec)
+        tape.backward(loss)
+        grads = [p.grad for p in model.parameters()]
+        assert all(g is not None for g in grads)
+        for i, g in enumerate(grads):
+            assert not any(np.shares_memory(g, h) for h in grads[i + 1:])
+
+    def test_default_teacher_forced_pass_records_49_nodes(self):
+        # 6 in the embeddings, 8 per encoder and 10 per decoder layer, 2 in
+        # the head and 5 in the loss
+        problem = make_problem("zdt1", d=5)
+        rng = np.random.default_rng(18)
+        pops = [evaluate(Population(rng.random((6, 5))), problem, EvaluationBudget(6))
+                for _ in range(2)]
+        with Tape() as tape:
+            PopulationTransformer(ModelConfig(), seed=0).forced_loss([tuple(pops)], problem.spec)
+        assert len(tape) == 49
 
 
 class TestStacked:
