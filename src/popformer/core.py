@@ -222,6 +222,29 @@ class Problem:
         outside = ~((x >= spec.lower) & (x <= spec.upper)).all(axis=1)
         if outside.any():
             raise ContractViolation(f"{spec.name}: decision row {np.argmax(outside)} out of bounds")
+        return self._scored(x)
+
+    def evaluate_solution(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """Objectives and aggregate violation of one decision vector.
+
+        The checks, errors and values of ``evaluate_batch(x[None])``, with
+        the input checked as one row. The objectives still see a (1, d)
+        block: numpy's one-element transcendental functions can round
+        differently from its array loops.
+        """
+        spec = self.spec
+        x = np.asarray(x, dtype=float)
+        if x.shape != (spec.d,):
+            raise ContractViolation(
+                f"{spec.name}: expected (k, {spec.d}) rows, got {(1, *x.shape)}")
+        if not ((x >= spec.lower) & (x <= spec.upper)).all():
+            raise ContractViolation(f"{spec.name}: decision row 0 out of bounds")
+        f, cv = self._scored(x[None])
+        return f[0], float(cv[0])
+
+    def _scored(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``evaluate_batch`` of a (k, d) block already checked in bounds."""
+        spec = self.spec
         f = np.asarray(self.objectives(x), dtype=float)
         g = np.asarray(self.constraints(x), dtype=float)
         if f.shape != (len(x), spec.m) or g.ndim != 2 or len(g) != len(x):
@@ -231,11 +254,6 @@ class Problem:
             if not np.isfinite(values).all():
                 raise EvaluationError(f"{spec.name}: evaluator produced non-finite {what}")
         return f, aggregate_violation(g)
-
-    def evaluate_solution(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        """Objectives and aggregate violation of one decision vector."""
-        f, cv = self.evaluate_batch(np.asarray(x, dtype=float)[None])
-        return f[0], float(cv[0])
 
 
 class EvaluationBudget:

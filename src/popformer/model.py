@@ -14,8 +14,10 @@ Training decodes whole target sequences at once under a causal mask
 tape pass. Generation decodes one row per offspring through a
 :class:`DecoderCache`, which keeps every decoder layer's self-attention keys
 and values of the rows already decoded and the cross-attention keys and
-values over the fixed encoder memories, all plain arrays off the tape. Both
-paths call the same blocks (``nn.layers``), and the cached one is exact:
+values over the fixed encoder memories, all plain arrays off the tape. The
+one-row step (:meth:`PopulationTransformer.decode_next`) runs the products
+of a full decode for its row in the same order, with the self-attention
+query, key and value projections packed into one product, and it is exact:
 with the parents' objective frame, a row's embedding never depends on later
 rows, so its cached keys and values are the ones a full re-decode of the
 longer prefix would compute again.
@@ -25,6 +27,7 @@ One model instance serves every problem whose dimensions fit its capacity.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from collections.abc import Sequence
@@ -54,7 +57,6 @@ from .nn import (
     MlpParams,
     NormParams,
     Tape,
-    attend,
     attention_params,
     causal_mask,
     const,
@@ -62,7 +64,6 @@ from .nn import (
     linear,
     logistic,
     matmul,
-    merge_heads,
     mlp_block,
     mlp_params,
     mul,
@@ -79,9 +80,10 @@ from .nn.tensor import Tensor
 
 CHECKPOINT_MAGIC = b"PETM"
 CHECKPOINT_VERSION = 2
-
-HEAD_MODES = ("logistic", "softmax")
 CAPACITY_FIELDS = ("d_hat", "m_hat", "width", "layers", "heads", "max_seq")
+# objectives normalized in a parent frame are clipped to this window, so an
+# outlier offspring cannot blow up activations
+FRAME_WINDOW = (-1.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,6 @@ class ModelConfig:
     layers: int = 2
     heads: int = 4
     max_seq: int = 100    # largest population the model accepts
-    head_mode: str = "logistic"
 
     def __post_init__(self):
         for name in CAPACITY_FIELDS:
@@ -107,8 +108,6 @@ class ModelConfig:
             raise ConfigError(f"width {self.width} must be divisible by heads {self.heads}")
         if min(self.d_hat, self.m_hat, self.width, self.heads, self.max_seq) < 1:
             raise ConfigError("all capacity fields must be positive")
-        if self.head_mode not in HEAD_MODES:
-            raise ConfigError(f"head_mode must be one of {HEAD_MODES}")
 
     @property
     def hidden(self) -> int:
@@ -137,6 +136,9 @@ class ModelConfig:
             raise ConfigError(f"bad model config JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise ConfigError(f"model config must be a JSON object, got {type(payload).__name__}")
+        # configs written before the softmax head was removed name the head
+        if payload.pop("head_mode", "logistic") != "logistic":
+            raise ConfigError("only the logistic head exists; the softmax head was removed")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(payload) - known
         if unknown:
@@ -180,13 +182,17 @@ class EncodedParents:
 class DecoderCache:
     """One generation's decoder state for decoding one row at a time.
 
-    Per decoder layer it holds the cross-attention keys and values over that
-    layer's encoder memory, projected once because the memories are fixed
-    for the generation, and the self-attention keys and values of every row
-    decoded so far, one row appended per step. Rows never change once
-    appended (see :class:`EncodedParents`), so decoding row k through the
-    cache gives row k of :meth:`PopulationTransformer.decode` over the whole
-    prefix, up to rounding. Inference only: it holds plain arrays, no tape.
+    Per decoder layer it holds the self-attention q/k/v weights packed into
+    one (D, 3D) matrix and one bias, copied when the cache is built so that
+    each online update reaches the next generation; the cross-attention keys
+    and values over that layer's encoder memory, projected once because the
+    memories are fixed for the generation; and the self-attention keys and
+    values of every row decoded so far, one row appended per step. Rows
+    never change once appended (see :class:`EncodedParents`), so decoding
+    row k through the cache gives row k of
+    :meth:`PopulationTransformer.decode` over the whole prefix, up to
+    rounding. Its zero-padded decision and objective rows are the one-row
+    embedding's inputs. Inference only: it holds plain arrays, no tape.
     """
 
     def __init__(self, model: "PopulationTransformer", encoded: EncodedParents,
@@ -196,9 +202,16 @@ class DecoderCache:
                 f"need one encoder memory per decoder layer ({len(model.decoder)}), "
                 f"got {len(encoded.memories)}"
             )
-        heads = model.config.heads
-        shape = (heads, capacity, model.config.width // heads)
+        cfg = model.config
+        heads = cfg.heads
+        shape = (heads, capacity, cfg.width // heads)
         self.frame = (encoded.obj_low, encoded.obj_span)
+        self.decisions, self.objectives = np.zeros(cfg.d_hat), np.zeros(cfg.m_hat)
+        self.qkv = [
+            (np.concatenate([lin.w.data for lin in (p.q, p.k, p.v)], axis=1),
+             np.concatenate([lin.b.data for lin in (p.q, p.k, p.v)]))
+            for p in (blk.self_attn for blk in model.decoder)
+        ]
         self.cross = [
             (split_heads(linear(memory, blk.cross_attn.k), heads),
              split_heads(linear(memory, blk.cross_attn.v), heads))
@@ -269,9 +282,9 @@ class PopulationTransformer:
         sequences, each normalized on its own. Without a frame the rows
         normalize against their own per-column min-max (zero ranges map to
         0.5). With a frame (a parent generation's low/span, each (..., m))
-        values normalize against that frame and are clipped to a generous
-        window so outlier offspring cannot blow up activations. With
-        ``tape=False`` the tokens are a plain array for inference.
+        values normalize against that frame and are clipped to
+        :data:`FRAME_WINDOW`. With ``tape=False`` the tokens are a plain
+        array for inference.
         """
         *lead, n, m = f.shape
         cfg = self.config
@@ -283,7 +296,7 @@ class PopulationTransformer:
             raise CapacityError(f"population size {n} exceeds capacity {cfg.max_seq}")
         normed = minmax_normalize_objectives(f, frame)
         if frame is not None:
-            normed = np.clip(normed, -1.0, 2.0)
+            normed = np.clip(normed, *FRAME_WINDOW)
         decisions = np.zeros((*lead, n, cfg.d_hat))
         decisions[..., :spec.d] = normalize_decision(x, spec)
         objectives = np.zeros((*lead, n, cfg.m_hat))
@@ -291,6 +304,16 @@ class PopulationTransformer:
         if not tape:
             return decisions @ self.e_dim.data + objectives @ self.e_obj.data
         return matmul(const(decisions), self.e_dim) + matmul(const(objectives), self.e_obj)
+
+    def embed_next(self, x: np.ndarray, f: np.ndarray, spec: ProblemSpec,
+                   cache: "DecoderCache") -> np.ndarray:
+        """The plain (D,) :meth:`embed` row of one member's (d,) decisions
+        and (m,) objectives in the cache's frame, built in the cache's
+        zero-padded rows; the parents' :meth:`embed` checked the capacity."""
+        cache.decisions[:spec.d] = normalize_decision(x, spec)
+        cache.objectives[:spec.m] = np.clip(minmax_normalize_objectives(f, cache.frame),
+                                            *FRAME_WINDOW)
+        return cache.decisions @ self.e_dim.data + cache.objectives @ self.e_obj.data
 
     # -- encoder / decoder --------------------------------------------------
 
@@ -334,47 +357,45 @@ class PopulationTransformer:
         return y
 
     def decode_next(self, z: np.ndarray, cache: DecoderCache) -> np.ndarray:
-        """Decode one embedded (1, D) array after the rows already in ``cache``.
+        """Decode one embedded (D,) row after the rows already in ``cache``.
 
-        The same blocks as :meth:`decode`: the new row's self-attention keys
-        and values join the cache, its query attends over every cached row
-        (no mask is needed, none of them is later), and its cross-attention
-        query reads the cached memory projections.
+        The products of :meth:`decode` for this row, in the same order, on
+        1-D rows: per layer one packed product gives the row's
+        self-attention query, key and value, the key and value join the
+        cache, and the query attends over every cached row (no mask is
+        needed, none of them is later); the cross-attention query reads the
+        cached memory projections.
         """
         t = cache.length
         if t == cache.keys[0].shape[1]:
             raise CapacityError(f"decoder cache is full at {t} rows")
         heads = self.config.heads
+        factor = 1.0 / math.sqrt(self.config.width // heads)
         y = z
-        for blk, keys, values, (cross_k, cross_v) in zip(
-                self.decoder, cache.keys, cache.values, cache.cross):
-            normed = layer_norm(y, blk.ln_self)
-            p = blk.self_attn
-            keys[:, t] = split_heads(linear(normed, p.k), heads)[:, 0]
-            values[:, t] = split_heads(linear(normed, p.v), heads)[:, 0]
-            mixed = attend(split_heads(linear(normed, p.q), heads),
-                           keys[:, :t + 1], values[:, :t + 1])
-            yp = linear(merge_heads(mixed), p.out) + y
+        for blk, (w, b), keys, values, (cross_k, cross_v) in zip(
+                self.decoder, cache.qkv, cache.keys, cache.values, cache.cross):
+            qkv = layer_norm(y, blk.ln_self) @ w + b
+            q, keys[:, t], values[:, t] = qkv.reshape(3, heads, -1)
+            probs = softmax(q[:, None] @ keys[:, :t + 1].swapaxes(-1, -2), factor=factor)
+            yp = linear((probs @ values[:, :t + 1]).reshape(-1), blk.self_attn.out) + y
             p = blk.cross_attn
-            mixed = attend(split_heads(linear(yp, p.q), heads), cross_k, cross_v)
-            cross = linear(merge_heads(mixed), p.out)
+            q = linear(yp, p.q).reshape(heads, 1, -1)
+            probs = softmax(q @ cross_k.swapaxes(-1, -2), factor=factor)
+            cross = linear((probs @ cross_v).reshape(-1), p.out)
             y = mlp_block(layer_norm(cross + yp, blk.ln_mlp), blk.mlp) + cross
         cache.length = t + 1
         return y
 
     def head_activations(self, y: Tensor | np.ndarray) -> Tensor | np.ndarray:
         """Per-position unit-box outputs of width d_hat."""
-        logits = linear(y, self.head)
-        if self.config.head_mode == "softmax":
-            return softmax(logits)
-        return logistic(logits)
+        return logistic(linear(y, self.head))
 
     # -- inference ----------------------------------------------------------
 
     def _decision(self, y: np.ndarray, spec: ProblemSpec, generation: int,
                   step: int) -> np.ndarray:
-        """The first d head outputs of row ``y``, denormalized to the bounds."""
-        unit = self.head_activations(y)[-1, :spec.d]
+        """The first d head outputs of the (D,) row ``y``, denormalized to the bounds."""
+        unit = self.head_activations(y)[:spec.d]
         if not np.isfinite(unit).all():
             raise ModelOutputError(
                 f"generation {generation}, decode step {step}: the model output "
@@ -391,10 +412,12 @@ class PopulationTransformer:
         alternates propose / evaluate / append until the target size or the
         budget runs out, so a short population means the budget ran out.
 
-        Each step embeds, decodes and heads only the newest member: a
-        :class:`DecoderCache` carries every earlier row's self-attention keys
-        and values and the parents' cross-attention keys and values, which is
-        exact because rows are normalized in the parents' objective frame.
+        Each step embeds, decodes and heads only the newest member, as one
+        row: a :class:`DecoderCache` carries every earlier row's
+        self-attention keys and values and the parents' cross-attention keys
+        and values, which is exact because rows are normalized in the
+        parents' objective frame. The cache is built per call, so it packs
+        the weights as they are after any update since the last call.
         Offspring rows are written into arrays preallocated for the target
         size. A non-finite model output raises :class:`ModelOutputError`
         naming the generation and the decode step.
@@ -410,7 +433,7 @@ class PopulationTransformer:
         size = 0
         while size < n_target:
             if size:
-                z = self.embed(x[size - 1:size], f[size - 1:size], spec, cache.frame, tape=False)
+                z = self.embed_next(x[size - 1], f[size - 1], spec, cache)
                 x[size] = self._decision(self.decode_next(z, cache), spec, generation, size)
             if budget.reserve(1) == 0:
                 if size:

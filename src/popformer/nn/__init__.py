@@ -5,7 +5,6 @@ from .layers import (
     LinearParams,
     MlpParams,
     NormParams,
-    attend,
     attention_params,
     causal_mask,
     layer_norm,
@@ -39,7 +38,7 @@ from .tensor import (
 
 __all__ = [
     "Adam", "AttentionParams", "LinearParams", "MlpParams", "NormParams", "Tape", "Tensor",
-    "add", "attend", "attention_params", "causal_mask", "const", "gradient_check",
+    "add", "attention_params", "causal_mask", "const", "gradient_check",
     "layer_norm", "linear", "logistic", "matmul", "mean_all", "merge_heads", "mlp_block",
     "mlp_params", "mul", "multi_head_attention", "norm_params", "relu", "reshape",
     "scale", "softmax", "split_heads", "sub", "sum_all", "swapaxes", "uniform_linear",

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, attention, relu, softmax
+from .tensor import Tensor, attention, relu
 from .tensor import layer_norm as _layer_norm
 from .tensor import linear as _linear
 
@@ -86,27 +86,15 @@ def causal_mask(n: int) -> np.ndarray:
     return np.tril(np.ones((n, n), dtype=bool))
 
 
-def attend(qh: Tensor, kh: Tensor, vh: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Scaled dot-product attention over per-head (..., H, s, dk) slices.
-
-    Scores are scaled by 1/sqrt(dk) inside the softmax, so the scaled
-    scores are never recorded; mask (broadcastable to (..., H, sq, sk),
-    True = attend) hides positions before normalization. Returns
-    (..., H, sq, dk).
-    """
-    scores = qh @ kh.swapaxes(-1, -2)  # (..., H, sq, sk)
-    return softmax(scores, mask=mask, factor=1.0 / math.sqrt(qh.shape[-1])) @ vh
-
-
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, p: AttentionParams,
                          heads: int, mask: np.ndarray | None = None) -> Tensor:
     """Scaled dot-product attention with per-head projections, one tape node.
 
     q is (..., sq, D); k and v are (..., sk, D) with the same leading axes,
     so a stack of sequences attends each within itself. Queries, keys and
-    values are projected and split into D/heads-wide heads, mixed as
-    :func:`attend` mixes them, merged and projected out; mask
-    (broadcastable to (sq, sk), True = attend) hides positions before
-    normalization. See :func:`popformer.nn.tensor.attention`.
+    values are projected and split into D/heads-wide heads, mixed by a
+    softmax over the scores scaled by 1/sqrt(D/heads), merged and projected
+    out; mask (broadcastable to (sq, sk), True = attend) hides positions
+    before normalization. See :func:`popformer.nn.tensor.attention`.
     """
     return attention(q, k, v, [(lin.w, lin.b) for lin in (p.q, p.k, p.v, p.out)], heads, mask)

@@ -410,11 +410,18 @@ def mean_all(a: Tensor) -> Tensor:
 def _softmax_rows(z: np.ndarray, mask: np.ndarray | None, factor: float) -> np.ndarray:
     """Row softmax of ``factor * z`` over the last axis, numerically
     stabilized; entries where the broadcast boolean ``mask`` is False get
-    probability 0, and a fully masked row is all zeros, with a warning."""
+    probability 0, and a fully masked row is all zeros, with a warning.
+
+    Only a mask can make a row fully masked, so the guards for one run only
+    with a mask. Without one, a row holding +inf or only -inf comes out NaN,
+    for the caller's non-finite checks to catch.
+    """
     z = z * factor
-    if mask is not None:
-        keep = np.broadcast_to(np.asarray(mask, dtype=bool), z.shape)
-        z = np.where(keep, z, -np.inf)
+    if mask is None:
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
+    keep = np.broadcast_to(np.asarray(mask, dtype=bool), z.shape)
+    z = np.where(keep, z, -np.inf)
     zmax = z.max(axis=-1, keepdims=True)
     zmax = np.where(np.isfinite(zmax), zmax, 0.0)
     e = np.exp(z - zmax)

@@ -110,15 +110,19 @@ def redecode_offspring(model: PopulationTransformer, parents: Population,
 
 
 def check_cached_decoding() -> bool:
-    problem = make_problem("zdt4", d=6)  # asymmetric bounds
     rng = np.random.default_rng(0)
-    parents = evaluate(random_population(problem, 10, rng), problem, EvaluationBudget(10))
-    for layers, heads, head_mode, budget in ((3, 4, "logistic", 10), (1, 1, "softmax", 7)):
-        cfg = ModelConfig(d_hat=8, m_hat=4, width=16, layers=layers, heads=heads,
-                          max_seq=12, head_mode=head_mode)
-        model = PopulationTransformer(cfg, seed=layers)
+    toy = dict(d_hat=8, m_hat=4, width=16, max_seq=12)
+    cases = (  # (config, d, N, budget)
+        (ModelConfig(layers=3, heads=4, **toy), 6, 10, 10),
+        (ModelConfig(layers=1, heads=1, **toy), 6, 10, 7),  # the budget ends it partway
+        (ModelConfig(), 30, 100, 100),  # the width and length the benchmark times
+    )
+    for cfg, d, n, budget in cases:
+        problem = make_problem("zdt4", d=d)  # asymmetric bounds
+        parents = evaluate(random_population(problem, n, rng), problem, EvaluationBudget(n))
+        model = PopulationTransformer(cfg, seed=cfg.layers)
         offspring = model.generate(parents, problem, EvaluationBudget(budget), rng,
-                                   n_offspring=10)
+                                   n_offspring=n)
         want = redecode_offspring(model, parents, offspring, problem.spec)
         if len(offspring) != budget or \
                 np.abs(offspring.x[1:] - want).max() > 1e-12:

@@ -1,4 +1,7 @@
+import json
 import struct
+import zlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -30,7 +33,8 @@ from popformer.model import (
     save_checkpoint,
     teacher_forced_loss,
 )
-from popformer.nn import Tape, gradient_check
+from popformer.nn import Adam, Tape, gradient_check
+from popformer.pipeline import train_step
 from popformer.selftest import redecode_offspring
 
 TOY = ModelConfig(d_hat=8, m_hat=4, width=16, layers=2, heads=2, max_seq=12)
@@ -54,11 +58,6 @@ class TestConfig:
     def test_layers_at_least_one(self):
         with pytest.raises(ConfigError):
             ModelConfig(layers=0)
-
-    def test_head_mode_values(self):
-        with pytest.raises(ConfigError):
-            ModelConfig(head_mode="linear")
-        ModelConfig(head_mode="softmax")
 
     def test_param_count_matches_live_model(self):
         for cfg in (TOY, ModelConfig(), ModelConfig(d_hat=32, m_hat=5, width=32,
@@ -258,17 +257,18 @@ class TestGenerate:
 class TestCachedDecoding:
     """Cached ``generate`` against one full ``decode`` of the generated prefix."""
 
-    @pytest.mark.parametrize("layers,heads,head_mode,budget", [
-        (1, 1, "logistic", 20),
-        (1, 4, "logistic", 20),
-        (3, 1, "logistic", 20),
-        (3, 4, "logistic", 20),
-        (2, 4, "softmax", 20),
-        (3, 4, "logistic", 7),  # the budget ends the generation partway
+    # ids: layers-heads-head-budget
+    @pytest.mark.parametrize("layers,heads,budget", [
+        pytest.param(1, 1, 20, id="1-1-logistic-20"),
+        pytest.param(1, 4, 20, id="1-4-logistic-20"),
+        pytest.param(3, 1, 20, id="3-1-logistic-20"),
+        pytest.param(3, 4, 20, id="3-4-logistic-20"),
+        # the budget ends the generation partway
+        pytest.param(3, 4, 7, id="3-4-logistic-7"),
     ])
-    def test_offspring_match_full_redecode(self, layers, heads, head_mode, budget):
+    def test_offspring_match_full_redecode(self, layers, heads, budget):
         cfg = ModelConfig(d_hat=8, m_hat=4, width=16, layers=layers, heads=heads,
-                          max_seq=12, head_mode=head_mode)
+                          max_seq=12)
         model = PopulationTransformer(cfg, seed=layers + heads)
         problem = make_problem("zdt4", d=6)  # asymmetric bounds
         parents = evaluated_pop(problem, 10, seed=heads)
@@ -289,6 +289,34 @@ class TestCachedDecoding:
         assert (exc.value.generation, exc.value.step) == (5, 1)
         assert budget.used == 1  # only the initialization token was evaluated
 
+    def test_non_finite_decoder_activation_names_generation_and_step(self):
+        model = PopulationTransformer(TOY, seed=3)
+        model.decoder[0].self_attn.q.w.data[0, 0] = np.inf
+        problem = make_problem("zdt1", d=6)
+        parents = evaluated_pop(problem, 8, gen=4)
+        budget = EvaluationBudget(20)
+        with np.errstate(invalid="ignore", over="ignore"), \
+                pytest.raises(ModelOutputError, match="generation 5, decode step 1"):
+            model.generate(parents, problem, budget, np.random.default_rng(0))
+        assert budget.used == 1
+
+    def test_online_update_reaches_the_next_generation(self, tmp_path):
+        model = PopulationTransformer(TOY, seed=3)
+        problem = make_problem("zdt1", d=6)
+        parents = evaluated_pop(problem, 8)
+
+        def offspring(m, seed):
+            return m.generate(parents, problem, EvaluationBudget(8), np.random.default_rng(seed)).x
+
+        before = offspring(model, 1)
+        first = model.generate(parents, problem, EvaluationBudget(8), np.random.default_rng(0))
+        train_step(model, Adam(model.parameters(), lr=1e-2), [(parents, first)], problem.spec)
+        after = offspring(model, 1)
+        path = tmp_path / "updated.petm"
+        save_checkpoint(model, path)
+        assert np.array_equal(after, offspring(load_checkpoint(path), 1))
+        assert not np.array_equal(after[1:], before[1:])  # the update moved the offspring
+
 
 class TestTapeFreeInference:
     def setup_method(self):
@@ -304,16 +332,25 @@ class TestTapeFreeInference:
         assert len(tape) == 0
         assert all(p.grad is None for p in self.model.parameters())
 
+    def test_embed_next_is_a_framed_one_row_embed(self):
+        spec = self.problem.spec
+        cache = DecoderCache(self.model, self.model.encode_parents(self.parents, spec), 4)
+        x, f = self.parents.x, self.parents.f * 3.0  # objectives beyond the frame clip
+        for i in range(3):  # rows reuse the cache's buffers
+            want = self.model.embed(x[i:i + 1], f[i:i + 1], spec, cache.frame, tape=False)
+            assert np.array_equal(self.model.embed_next(x[i], f[i], spec, cache), want[0])
+
     def test_decoder_cache_holds_only_arrays(self):
         encoded = self.model.encode_parents(self.parents, self.problem.spec)
         cache = DecoderCache(self.model, encoded, 4)
-        z = self.model.embed(self.parents.x[:1], self.parents.f[:1], self.problem.spec,
-                             cache.frame, tape=False)
+        z = self.model.embed_next(self.parents.x[0], self.parents.f[0], self.problem.spec,
+                                  cache)
         row = self.model.decode_next(z, cache)
-        assert type(row) is np.ndarray and row.shape == (1, TOY.width)
+        assert type(row) is np.ndarray and row.shape == (TOY.width,)
         held = [*encoded.memories, *cache.frame, *cache.keys, *cache.values,
-                *(a for pair in cache.cross for a in pair)]
-        assert len(held) == 2 + 5 * TOY.layers
+                cache.decisions, cache.objectives,
+                *(a for pair in cache.cross + cache.qkv for a in pair)]
+        assert len(held) == 4 + 7 * TOY.layers
         assert all(type(a) is np.ndarray for a in held)
 
 
@@ -574,6 +611,30 @@ class TestCheckpoint:
         assert blob[4:8] == struct.pack("<I", CHECKPOINT_VERSION) != struct.pack("<I", 1)
         path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:-4])
         with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def with_head_mode(path, head: str) -> None:
+        """Rewrite ``path`` as a file written while the head was a config field."""
+        text = json.dumps({**asdict(TOY), "head_mode": head}, sort_keys=True,
+                          separators=(",", ":"))
+        blob = TestCheckpoint.with_config(path.read_bytes(), text)[:-4]
+        path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+
+    def test_logistic_head_mode_key_is_dropped(self, tmp_path):
+        model = PopulationTransformer(TOY, seed=6)
+        path = tmp_path / "model.petm"
+        save_checkpoint(model, path)
+        self.with_head_mode(path, "logistic")
+        loaded = load_checkpoint(path, expect_config=TOY)
+        for (_, a), (_, b) in zip(model.named_parameters(), loaded.named_parameters()):
+            assert np.array_equal(a.data, b.data)
+
+    def test_softmax_head_checkpoint_rejected(self, tmp_path):
+        path = tmp_path / "model.petm"
+        save_checkpoint(PopulationTransformer(TOY, seed=6), path)
+        self.with_head_mode(path, "softmax")
+        with pytest.raises(CheckpointError, match="model.petm: bad model config: .*softmax"):
             load_checkpoint(path)
 
     def test_config_mismatch_rejected(self, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from popformer import make_problem
-from popformer.errors import ConfigError, ContractViolation, UnsupportedFront
+from popformer.errors import ConfigError, ContractViolation, EvaluationError, UnsupportedFront
 from popformer.problems import LsmopProblem, ShiftClusterProblem, ZdtProblem, available_problems
 from popformer.problems.lsmop import N_SUBCOMPONENTS, chaos_fractions, simplex_lattice
 from popformer.problems.zdt import ZDT3_FRONT_INTERVALS, ZDT6_F1_MIN
@@ -368,3 +368,52 @@ class TestEvaluateBatch:
         for bad in (np.zeros(6), np.zeros((2, 5)), np.zeros((1, 2, 6))):
             with pytest.raises(ContractViolation):
                 prob.evaluate_batch(bad)
+
+
+class InfObjectives(ZdtProblem):
+    """A stub evaluator whose second objective is non-finite."""
+
+    def objectives(self, x):
+        f = super().objectives(x)
+        f[..., 1] = np.inf
+        return f
+
+
+def raised(call, x) -> tuple[type, str]:
+    with pytest.raises(Exception) as exc:
+        call(x)
+    return type(exc.value), str(exc.value)
+
+
+class TestEvaluateSolution:
+    """One row, checked directly, against ``evaluate_batch(x[None])``."""
+
+    @pytest.mark.parametrize("name,kwargs", [("zdt6", {"d": 30}), ("lsmop1", {"d": 60, "m": 3}),
+                                             ("shift", {"d": 8, "m": 3})])
+    def test_values_bitwise_equal_to_a_one_row_block(self, name, kwargs):
+        prob = make_problem(name, **kwargs)
+        rng = np.random.default_rng(11)
+        for x in rng.uniform(prob.spec.lower, prob.spec.upper, (200, prob.spec.d)):
+            f, cv = prob.evaluate_solution(x)
+            block_f, block_cv = prob.evaluate_batch(x[None])
+            assert np.array_equal(f, block_f[0])
+            assert type(cv) is float and cv == block_cv[0]
+
+    @pytest.mark.parametrize("case,error", [
+        ("out-of-bounds", ContractViolation), ("wrong-length", ContractViolation),
+        ("nan-decision", ContractViolation), ("non-finite-objectives", EvaluationError),
+    ])
+    def test_errors_match_a_one_row_block(self, case, error):
+        prob = make_problem("zdt4", d=6)
+        if case == "non-finite-objectives":
+            prob = InfObjectives(4, d=6)
+        x = np.full(6, 0.5)
+        if case == "out-of-bounds":
+            x[2] = 5.5
+        elif case == "wrong-length":
+            x = x[:-1]
+        elif case == "nan-decision":
+            x[3] = np.nan
+        want = raised(prob.evaluate_batch, x[None])
+        assert want[0] is error
+        assert raised(prob.evaluate_solution, x) == want

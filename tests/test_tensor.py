@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -12,7 +14,6 @@ from popformer.nn import (
     Tape,
     Tensor,
     add,
-    attend,
     causal_mask,
     const,
     gradient_check,
@@ -56,12 +57,13 @@ def composite_linear(x, p):
 
 def composite_attention(q, k, v, p, heads, mask=None):
     """The attention block composed from unfused primitives: projections,
-    split_heads, attend, merge_heads and the out projection, twenty nodes.
-    The oracle for the fused rule."""
-    mixed = attend(split_heads(composite_linear(q, p.q), heads),
-                   split_heads(composite_linear(k, p.k), heads),
-                   split_heads(composite_linear(v, p.v), heads), mask=mask)
-    return composite_linear(merge_heads(mixed), p.out)
+    split_heads, the per-head scores, their softmax scaled by 1/sqrt(dk)
+    under the mask, the mix of the values, merge_heads and the out
+    projection, twenty nodes. The oracle for the fused rule."""
+    qh, kh, vh = (split_heads(composite_linear(x, lin), heads)
+                  for x, lin in ((q, p.q), (k, p.k), (v, p.v)))
+    probs = softmax(qh @ kh.swapaxes(-1, -2), mask=mask, factor=1.0 / math.sqrt(qh.shape[-1]))
+    return composite_linear(merge_heads(probs @ vh), p.out)
 
 
 def attention_leaves(p):
@@ -199,6 +201,16 @@ class TestSoftmax:
         with pytest.warns(RuntimeWarning):
             out = softmax(const([[1.0, 2.0]]), mask=np.array([[False, False]]))
         assert np.array_equal(out.data, [[0.0, 0.0]])
+
+    @pytest.mark.parametrize("row", [[1.0, np.inf], [-np.inf, -np.inf]],
+                             ids=["plus-inf", "all-minus-inf"])
+    def test_unmasked_non_finite_row_is_nan_without_warning(self, row):
+        # the fully-masked guard runs only under a mask
+        with np.errstate(invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = softmax(const([row, [1.0, 2.0]]))
+        assert np.isnan(out.data[0]).all()
+        assert np.array_equal(out.data[1], softmax(const([1.0, 2.0])).data)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
