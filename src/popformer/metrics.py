@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .errors import ContractViolation, IgdUndefined
 
-EXACT_ENUMERATION_LIMIT = 12  # pooled size at or below which the exact null is enumerated
+EXACT_ENUMERATION_LIMIT = 12  # pooled size at or below which the exact null is counted
 
 
 @dataclass(frozen=True)
@@ -74,8 +73,8 @@ def _normal_sf(z: float) -> float:
 def wilcoxon_rank_sum(a, b, alpha: float = 0.05) -> RankSumResult:
     """Two-sided rank-sum test with midrank tie handling.
 
-    The null distribution is enumerated exactly for pooled sizes up to
-    12; larger samples use the normal approximation with tie and continuity
+    The exact null distribution is counted for pooled sizes up to 12;
+    larger samples use the normal approximation with tie and continuity
     corrections. ``decision`` takes the minimization view: "better" means
     sample a is significantly smaller than sample b.
     """
@@ -96,17 +95,17 @@ def wilcoxon_rank_sum(a, b, alpha: float = 0.05) -> RankSumResult:
         return RankSumResult(statistic=w, p_value=1.0, decision="indifferent", method="exact")
 
     if n <= EXACT_ENUMERATION_LIMIT:
-        less = equal = greater = 0
-        total = 0
-        for combo in combinations(range(n), na):
-            s = ranks[list(combo)].sum()
-            total += 1
-            if s < w - 1e-9:
-                less += 1
-            elif s > w + 1e-9:
-                greater += 1
-            else:
-                equal += 1
+        # doubled midranks are integers even with ties, so every size-na
+        # subset is counted by its doubled rank sum; c[k, s] holds the counts
+        # of size-k subsets of the members seen so far
+        doubled = (2.0 * ranks).astype(int)
+        c = np.zeros((na + 1, int(doubled.sum()) + 1), dtype=np.int64)
+        c[0, 0] = 1
+        for r in doubled:
+            c[1:, r:] += c[:-1, :c.shape[1] - r]  # overlap is buffered: old counts are read
+        sums, w2 = c[na], round(2.0 * w)
+        less, equal, greater = int(sums[:w2].sum()), int(sums[w2]), int(sums[w2 + 1:].sum())
+        total = less + equal + greater
         p_low = (less + equal) / total
         p_high = (greater + equal) / total
         p = min(1.0, 2.0 * min(p_low, p_high))

@@ -25,7 +25,7 @@ from .errors import BudgetExhausted, ConfigError, ContractViolation
 
 @dataclass(frozen=True)
 class FrontPartition:
-    """Indices partitioned into non-dominated fronts, plus per-member rank."""
+    """Indices of the ranked non-dominated fronts, plus per-member rank."""
 
     fronts: tuple[tuple[int, ...], ...]
     rank: np.ndarray
@@ -49,12 +49,15 @@ class VariationConfig:
 
 def _dominance_matrix(objs: np.ndarray, cv: np.ndarray) -> np.ndarray:
     """dom[i, j] is True when member i constrained-dominates member j."""
-    le = np.ones((len(objs), len(objs)), dtype=bool)
-    lt = np.zeros_like(le)
+    n = len(objs)
+    le = np.ones((n, n), dtype=bool)
     for col in objs.T:  # one (N, N) comparison per objective, not one (N, N, m) block
-        le &= col[:, None] <= col[None, :]
-        lt |= col[:, None] < col[None, :]
-    pareto = le & lt
+        # each value's count of smaller values orders and ties the members as
+        # the value does, and narrow integers compare faster than floats
+        key = np.searchsorted(np.sort(col), col).astype(np.min_scalar_type(n))
+        le &= key[:, None] <= key[None, :]
+    # no worse anywhere and not equal everywhere; exact for finite objectives
+    pareto = le & ~le.T
     if not np.any(cv > 0):
         return pareto
     # Pareto between feasible members, else the smaller violation wins (a
@@ -63,63 +66,77 @@ def _dominance_matrix(objs: np.ndarray, cv: np.ndarray) -> np.ndarray:
     return (pareto & feas[:, None] & feas[None, :]) | (cv[:, None] < cv[None, :])
 
 
-def fast_nondominated_sort(pop: Population) -> FrontPartition:
+def fast_nondominated_sort(pop: Population, n_rank: int | None = None) -> FrontPartition:
     """Partition a fully evaluated population into ranked non-dominated fronts.
 
     Constrained dominance applies when any member is infeasible, plain Pareto
-    dominance otherwise.
+    dominance otherwise. With ``n_rank`` the peeling stops at the first front
+    that brings the ranked members to at least ``n_rank``: the members left
+    over are not listed in ``fronts`` and all get rank ``len(fronts)``.
     """
     if not pop.all_evaluated:
         raise ContractViolation("sorting requires a fully evaluated population")
     n = len(pop)
-    dom = _dominance_matrix(pop.f, pop.cv)
-    counts = dom.sum(axis=0)
-    rank = np.full(n, -1, dtype=int)
+    goal = n if n_rank is None else min(n_rank, n)
+    dom = _dominance_matrix(pop.f, pop.cv).view(np.uint8)
+    # dominators not yet ranked, -1 once ranked: the smallest signed type
+    # holding -1 to n - 1 keeps the column sums narrow
+    count_type = np.min_scalar_type(-n)
+    counts = dom.sum(axis=0, dtype=count_type)
+    rank = np.empty(n, dtype=int)
     fronts: list[tuple[int, ...]] = []
-    remaining = np.ones(n, dtype=bool)
-    while remaining.any():
-        current = remaining & (counts == 0)
-        if not current.any():  # defensive; cannot happen for a strict partial order
-            current = remaining.copy()
-        idx = np.flatnonzero(current)
+    ranked = 0
+    while ranked < goal:
+        idx = np.flatnonzero(counts == 0)
+        if idx.size == 0:  # defensive; cannot happen for a strict partial order
+            idx = np.flatnonzero(counts >= 0)  # all remaining members form one front
         rank[idx] = len(fronts)
         fronts.append(tuple(idx.tolist()))
-        remaining[idx] = False
-        counts = counts - dom[idx].sum(axis=0)
+        ranked += idx.size
+        counts -= dom[idx].sum(axis=0, dtype=count_type)
+        counts[idx] = -1
+    rank[counts >= 0] = len(fronts)
     return FrontPartition(fronts=tuple(fronts), rank=rank)
 
 
-def crowding_distance(front_objs: np.ndarray) -> np.ndarray:
-    """Per-member crowding scores for one front's objective matrix.
+def crowding_distance(objs: np.ndarray, rank: np.ndarray | None = None) -> np.ndarray:
+    """Per-member crowding scores, each member scored within its own front.
 
-    Boundary members on each objective get +inf; interior members accumulate
-    the normalized gap between their neighbours. A zero objective range
-    contributes nothing.
+    ``rank`` gives each row's front; without it all rows form one front.
+    Boundary members of a front on each objective get +inf; interior members
+    accumulate the normalized gap between their neighbours. A zero objective
+    range within a front contributes nothing.
     """
-    front_objs = np.asarray(front_objs, dtype=float)
-    if front_objs.size == 0:
-        return np.empty(0)
-    n, m = front_objs.shape
+    objs = np.asarray(objs, dtype=float)
+    n = len(objs)
     scores = np.zeros(n)
-    for j in range(m):
-        order = np.argsort(front_objs[:, j], kind="stable")
-        col = front_objs[order, j]
-        scores[order[[0, -1]]] = np.inf
-        span = col[-1] - col[0]
-        if n > 2 and span > 0:  # a boundary member elsewhere stays at +inf
-            scores[order[1:-1]] += (col[2:] - col[:-2]) / span
+    if n == 0:
+        return scores
+    rank = np.zeros(n, dtype=int) if rank is None else np.asarray(rank)
+    # each sorted position's front is the same for every objective
+    sorted_rank = np.sort(rank)
+    edge = np.flatnonzero(sorted_rank[1:] != sorted_rank[:-1])
+    first = np.concatenate(([0], edge + 1))
+    last = np.concatenate((edge, [n - 1]))
+    front = np.searchsorted(edge, np.arange(1, n - 1))  # of sorted positions 1 .. n - 2
+    lo, hi, ends = first[front], last[front], np.concatenate((first, last))
+    for col in objs.T:
+        order = np.lexsort((col, rank))  # by front, then objective, then index
+        col = col[order]
+        span = col[hi] - col[lo]
+        span[span == 0] = np.inf  # a zero range adds 0.0, which changes no score
+        scores[order[1:-1]] += (col[2:] - col[:-2]) / span
+        scores[order[ends]] = np.inf  # also replaces the gaps taken across two fronts
     return scores
 
 
-def _merit_order(pop: Population) -> np.ndarray:
+def _merit_order(pop: Population, n_rank: int | None = None) -> np.ndarray:
     """Member indices ordered by (rank asc, crowding desc, index asc), with
-    crowding scored within each front."""
-    part = fast_nondominated_sort(pop)
-    crowd = np.zeros(len(pop))
-    for front in part.fronts:
-        idx = np.array(front)
-        crowd[idx] = crowding_distance(pop.f[idx])
-    return np.lexsort((np.arange(len(pop)), -crowd, part.rank))
+    crowding scored within each front; ``n_rank`` stops the sort early, so
+    only the first ``n_rank`` places are meaningful."""
+    rank = fast_nondominated_sort(pop, n_rank).rank
+    # lexsort is stable, so equal keys stay in index order
+    return np.lexsort((-crowding_distance(pop.f, rank), rank))
 
 
 def nsga2_select(pop: Population, n: int) -> np.ndarray:
@@ -130,9 +147,9 @@ def nsga2_select(pop: Population, n: int) -> np.ndarray:
     The indices are ordered by (rank asc, crowding desc, index asc); that
     canonical order doubles as the target ordering for sequence training.
     """
-    if n > len(pop):
+    if not 0 <= n <= len(pop):
         raise ContractViolation(f"cannot select {n} from a population of {len(pop)}")
-    return _merit_order(pop)[:n]
+    return _merit_order(pop, n)[:n]
 
 
 def sbx_crossover(a: np.ndarray, b: np.ndarray, draws: np.ndarray, cfg: VariationConfig,

@@ -58,13 +58,19 @@ def brute_force_ranks(pop: Population) -> np.ndarray:
 
 
 def check_sorting(trials: int = 40, seed: int = 3) -> bool:
+    """The full sort and an early-stopped one for a random member count: every
+    ranked member has its brute-force rank, and at least that many are ranked."""
     rng = np.random.default_rng(seed)
     for t in range(trials):
         pop = _random_population(rng, int(rng.integers(2, 40)), int(rng.integers(2, 5)),
                                  constrained=t % 2 == 0)
-        got = fast_nondominated_sort(pop).rank
         want = brute_force_ranks(pop)
-        if not np.array_equal(got, want):
+        if not np.array_equal(fast_nondominated_sort(pop).rank, want):
+            return False
+        n_rank = int(rng.integers(0, len(pop) + 1))
+        part = fast_nondominated_sort(pop, n_rank)
+        ranked = part.rank < len(part.fronts)
+        if ranked.sum() < n_rank or not np.array_equal(part.rank[ranked], want[ranked]):
             return False
     return True
 
@@ -147,11 +153,11 @@ def check_ranksum() -> bool:
 
 def run_selftest() -> bool:
     checks = [
-        ("non-dominated sort matches brute force", check_sorting),
+        ("non-dominated sort, full and early-stopped, matches brute force", check_sorting),
         ("gradients match finite differences", check_gradients),
         ("cached decoding matches a full re-decode", check_cached_decoding),
         ("igd fixtures", check_igd),
-        ("rank-sum enumeration fixture", check_ranksum),
+        ("rank-sum exact-null fixture", check_ranksum),
     ]
     all_ok = True
     for name, fn in checks:

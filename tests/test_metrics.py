@@ -62,7 +62,40 @@ class TestIgd:
         assert res.reference_size == 4 and res.solution_size == 3
 
 
+def reference_exact_p(a, b):
+    """Two-sided exact p-value from enumerating every size-len(a) subset of
+    the pooled midranks."""
+    pooled = np.concatenate([a, b])
+    na, n = len(a), len(pooled)
+    ranks = np.array([np.sum(pooled < v) + (np.sum(pooled == v) + 1) / 2 for v in pooled])
+    w = ranks[:na].sum()
+    less = equal = greater = 0
+    for combo in itertools.combinations(range(n), na):
+        s = ranks[list(combo)].sum()
+        if s < w - 1e-9:
+            less += 1
+        elif s > w + 1e-9:
+            greater += 1
+        else:
+            equal += 1
+    total = less + equal + greater
+    return min(1.0, 2.0 * min((less + equal) / total, (greater + equal) / total))
+
+
 class TestRankSum:
+    def test_counting_matches_enumeration_bitwise(self):
+        rng = np.random.default_rng(7)
+        for na in range(3, EXACT_ENUMERATION_LIMIT - 2):
+            for nb in range(3, EXACT_ENUMERATION_LIMIT - na + 1):
+                for levels in (3, 6, 1000):  # many ties, some, almost none
+                    a = rng.integers(0, levels, size=na).astype(float)
+                    b = rng.integers(0, levels, size=nb).astype(float)
+                    if np.all(np.concatenate([a, b]) == a[0]):
+                        continue
+                    res = wilcoxon_rank_sum(a, b)
+                    assert res.method == "exact"
+                    assert res.p_value == reference_exact_p(a, b)
+
     def test_enumeration_fixture(self):
         res = wilcoxon_rank_sum([1, 2, 3], [4, 5, 6])
         assert res.statistic == 6.0

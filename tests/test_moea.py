@@ -24,7 +24,7 @@ from popformer import (
     sbx_crossover,
 )
 from popformer.errors import ConfigError, ContractViolation
-from popformer.moea import run_generational, sbx_pm_offspring
+from popformer.moea import _dominance_matrix, _merit_order, run_generational, sbx_pm_offspring
 from popformer.selftest import brute_force_ranks
 
 
@@ -39,16 +39,78 @@ def evaluated(problem, xs):
 
 
 # ---------------------------------------------------------------------------
-# per-pair reference variation: the loop form the array operators replace
+# per-front reference selection: the loop form the whole-population passes
+# replace
 
 
-def reference_rank_and_crowding(pop):
-    rank = brute_force_ranks(pop)
+def reference_dominance(objs, cv):
+    """dom[i, j]: i is no worse than j on every objective and better on one,
+    or, with any member infeasible, wins on constrained dominance."""
+    le = np.ones((len(objs), len(objs)), dtype=bool)
+    lt = np.zeros_like(le)
+    for col in objs.T:
+        le &= col[:, None] <= col[None, :]
+        lt |= col[:, None] < col[None, :]
+    pareto = le & lt
+    if not np.any(cv > 0):
+        return pareto
+    feas = cv == 0.0
+    return (pareto & feas[:, None] & feas[None, :]) | (cv[:, None] < cv[None, :])
+
+
+def reference_sort(pop):
+    """Every front peeled in turn, one dominator count update per front."""
+    n = len(pop)
+    dom = reference_dominance(pop.f, pop.cv)
+    counts = dom.sum(axis=0)
+    rank = np.full(n, -1, dtype=int)
+    fronts = []
+    remaining = np.ones(n, dtype=bool)
+    while remaining.any():
+        current = remaining & (counts == 0)
+        if not current.any():
+            current = remaining.copy()
+        idx = np.flatnonzero(current)
+        rank[idx] = len(fronts)
+        fronts.append(tuple(idx.tolist()))
+        remaining[idx] = False
+        counts = counts - dom[idx].sum(axis=0)
+    return tuple(fronts), rank
+
+
+def reference_crowding(front_objs):
+    """One front's crowding scores, one stable argsort per objective."""
+    n, m = front_objs.shape
+    scores = np.zeros(n)
+    for j in range(m):
+        order = np.argsort(front_objs[:, j], kind="stable")
+        col = front_objs[order, j]
+        scores[order[[0, -1]]] = np.inf
+        span = col[-1] - col[0]
+        if n > 2 and span > 0:
+            scores[order[1:-1]] += (col[2:] - col[:-2]) / span
+    return scores
+
+
+def reference_rank_and_crowding(pop, rank=None):
+    """Each member's rank (brute force unless given) and its crowding score
+    within its front, one front at a time."""
+    rank = brute_force_ranks(pop) if rank is None else rank
     crowd = np.zeros(len(pop))
     for r in set(rank):
         idx = np.flatnonzero(rank == r)
-        crowd[idx] = crowding_distance(pop.f[idx])
+        crowd[idx] = reference_crowding(pop.f[idx])
     return rank, crowd
+
+
+def reference_merit_order(pop):
+    """Member indices by (rank asc, crowding desc, index asc)."""
+    rank, crowd = reference_rank_and_crowding(pop, reference_sort(pop)[1])
+    return np.lexsort((np.arange(len(pop)), -crowd, rank))
+
+
+# ---------------------------------------------------------------------------
+# per-pair reference variation: the loop form the array operators replace
 
 
 def reference_tournament(rank, crowd, rng, count):
@@ -272,6 +334,62 @@ class TestSelect:
     def test_rejects_oversized_request(self):
         with pytest.raises(ContractViolation):
             nsga2_select(make_pop([[1, 2]]), 2)
+
+    def test_rejects_negative_request(self):
+        # a negative count would slice from the end and keep len(pop) - 1
+        pop = make_pop([[1, 2], [2, 1], [0, 3], [3, 0], [2, 2]])
+        with pytest.raises(ContractViolation):
+            nsga2_select(pop, -1)
+
+
+@st.composite
+def integer_populations(draw):
+    """Small integer objectives, so ties and duplicate rows are common, with
+    or without constraint violations."""
+    n_pop = draw(st.integers(1, 24), label="n_pop")
+    m = draw(st.integers(2, 4), label="m")
+    objs = draw(st.lists(st.lists(st.integers(0, 3), min_size=m, max_size=m),
+                         min_size=n_pop, max_size=n_pop), label="objs")
+    cvs = draw(st.one_of(
+        st.just([0.0] * n_pop),
+        st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0]), min_size=n_pop, max_size=n_pop),
+    ), label="cvs")
+    return make_pop(objs, cvs)
+
+
+class TestMatchesPerFrontReference:
+    @settings(max_examples=200, deadline=None)
+    @given(integer_populations())
+    def test_selection_index_for_index(self, pop):
+        want = reference_merit_order(pop)
+        assert np.array_equal(np.argsort(_merit_order(pop)), np.argsort(want))
+        for n in range(len(pop) + 1):
+            assert np.array_equal(nsga2_select(pop, n), want[:n])
+
+    @settings(max_examples=200, deadline=None)
+    @given(integer_populations())
+    def test_early_stopped_sort_agrees_with_full_sort(self, pop):
+        fronts, rank = reference_sort(pop)
+        full = fast_nondominated_sort(pop)
+        assert full.fronts == fronts and np.array_equal(full.rank, rank)
+        for n in range(len(pop) + 1):
+            part = fast_nondominated_sort(pop, n)
+            ranked = part.rank < len(part.fronts)
+            # it stops at the first front that ranks at least n members
+            assert ranked.sum() >= n
+            assert sum(map(len, part.fronts[:-1])) < n or not part.fronts
+            assert part.fronts == fronts[:len(part.fronts)]
+            assert np.array_equal(part.rank[ranked], rank[ranked])
+            assert np.all(part.rank[~ranked] == len(part.fronts))
+
+    @settings(max_examples=200, deadline=None)
+    @given(integer_populations())
+    def test_dominance_and_crowding_in_one_pass(self, pop):
+        assert np.array_equal(_dominance_matrix(pop.f, pop.cv),
+                              reference_dominance(pop.f, pop.cv))
+        _, rank = reference_sort(pop)
+        assert np.array_equal(crowding_distance(pop.f, rank),
+                              reference_rank_and_crowding(pop, rank)[1])
 
 
 class TestVariation:

@@ -497,7 +497,7 @@ class TestModelRun:
         calls = []
         original = moea.fast_nondominated_sort
         monkeypatch.setattr(moea, "fast_nondominated_sort",
-                            lambda pop: calls.append(len(pop)) or original(pop))
+                            lambda pop, *args: calls.append(len(pop)) or original(pop, *args))
         problem = make_problem("zdt1", d=8)
         model = PopulationTransformer(TOY, seed=0)
         result = run_nsga2_model(problem, model, 8, 32, seed=0,
