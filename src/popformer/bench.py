@@ -7,6 +7,7 @@ import ctypes
 import hashlib
 import json
 import math
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -199,15 +200,28 @@ def _openblas() -> ctypes.CDLL | None:
     return None
 
 
-def _pin_blas_to_one_thread() -> None:
-    """Pool initializer: one BLAS thread per worker, so ``workers`` processes
-    do not each start a BLAS thread per core. Without the setter it does
-    nothing."""
-    lib = _openblas()
-    if lib is not None:
+def fix_malloc_thresholds() -> bool:
+    """Fix glibc's mmap threshold at 32 MiB, the ceiling of its dynamic rule
+    on 64-bit, and its trim threshold at twice that, as the rule keeps them.
+    Left dynamic, both rise when a larger mmap-served block is freed, so speed
+    would rest on which temporaries came first. True when glibc took both;
+    on another libc a no-op that returns False."""
+    libc = ctypes.CDLL(None) if sys.platform != "win32" else None
+    if not hasattr(libc, "gnu_get_libc_version"):  # musl, macOS, Windows
+        return False
+    libc.mallopt.argtypes, libc.mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD is -1 in glibc's malloc.h
+    return libc.mallopt(-3, 32 << 20) == 1 and libc.mallopt(-1, 64 << 20) == 1
+
+
+def _init_worker() -> None:
+    """Pool initializer: the fixed malloc thresholds, and one BLAS thread per
+    worker, so ``workers`` processes do not each start a BLAS thread per core.
+    Without the setter it leaves BLAS alone."""
+    fix_malloc_thresholds()
+    if (lib := _openblas()) is not None:
         setter = lib.scipy_openblas_set_num_threads64_
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = None
+        setter.argtypes, setter.restype = [ctypes.c_int], None
         setter(1)
 
 
@@ -245,7 +259,7 @@ def run_benchmark(cfg: ExperimentConfig, workers: int = 1) -> list[RunRecord]:
                 })
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_pin_blas_to_one_thread) as pool:
+                                 initializer=_init_worker) as pool:
             futures = [pool.submit(_run_cell, p) for p in payloads]
             results = [_pooled_result(f, p) for f, p in zip(futures, payloads)]
     else:

@@ -13,7 +13,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .bench import (ExperimentConfig, default_front_size, emit_report, fix_malloc_thresholds,
+                    run_benchmark, summarize)
+from .dataset import TrajectoryDataset
+from .errors import ConfigError, UnsupportedFront
+from .metrics import igd
+from .model import ModelConfig, PopulationTransformer, load_checkpoint, save_checkpoint
+from .pipeline import (FinetuneConfig, PretrainConfig, collect_trajectories, pretrain,
+                       run_nsga2_model)
+from .problems import make_problem
+from .selftest import run_selftest
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,9 +89,6 @@ def _split_names(arg: str) -> list[str]:
 
 
 def _cmd_collect(args) -> int:
-    from .pipeline import collect_trajectories
-    from .problems import make_problem
-
     problems = [make_problem(name, d=args.d, m=args.m) for name in _split_names(args.problems)]
     teachers = _split_names(args.teachers)
     dataset = collect_trajectories(problems, teachers, list(range(args.seeds)),
@@ -93,10 +99,6 @@ def _cmd_collect(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
-    from .dataset import TrajectoryDataset
-    from .model import ModelConfig, PopulationTransformer, save_checkpoint
-    from .pipeline import PretrainConfig, pretrain
-
     cfg = PretrainConfig(steps=args.steps, batch_size=args.batch, lr=args.lr, seed=args.seed)
     dataset = TrajectoryDataset.load(args.data)
     if args.config:
@@ -113,17 +115,11 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    from .errors import UnsupportedFront
-    from .metrics import igd
-    from .model import load_checkpoint
-    from .pipeline import FinetuneConfig, run_nsga2_model
-    from .problems import make_problem
-
     problem = make_problem(args.problem, d=args.d, m=args.m)
     model = load_checkpoint(args.model)
     fine = FinetuneConfig(steps_per_generation=0) if args.no_finetune else FinetuneConfig()
     try:
-        front = problem.reference_front(1000 if problem.spec.m <= 3 else 5000)
+        front = problem.reference_front(default_front_size(problem.spec.m))
     except UnsupportedFront:
         front = None
     result = run_nsga2_model(problem, model, args.pop, args.evals,
@@ -142,8 +138,6 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    from .bench import ExperimentConfig, emit_report, run_benchmark, summarize
-
     cfg = ExperimentConfig.from_json(Path(args.config).read_text(), source=args.config)
     records = run_benchmark(cfg, workers=args.workers)
     summary = summarize(records, cfg)
@@ -157,8 +151,6 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_igd(args) -> int:
-    from .metrics import igd
-
     front = np.loadtxt(args.front, delimiter=",", ndmin=2)
     sols = np.loadtxt(args.solutions, delimiter=",", ndmin=2)
     result = igd(front, sols)
@@ -167,8 +159,6 @@ def _cmd_igd(args) -> int:
 
 
 def _cmd_selftest(_args) -> int:
-    from .selftest import run_selftest
-
     ok = run_selftest()
     return 0 if ok else 2
 
@@ -184,6 +174,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    fix_malloc_thresholds()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

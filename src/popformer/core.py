@@ -196,9 +196,12 @@ class Problem:
     """Deterministic black-box evaluator with a declared spec.
 
     Subclasses implement ``objectives`` (and optionally ``constraints`` with the
-    g(x) <= 0 convention) over (..., d) decision rows, returning (..., m)
-    objectives (and (..., c) constraint values). Instances are immutable after
-    construction and safe for concurrent evaluation.
+    g(x) <= 0 convention) over (k, d) decision blocks, returning (k, m)
+    objectives (and (k, c) constraint values). Evaluation always passes 2-d
+    blocks, one row as (1, d): on a 1-d row numpy's one-element
+    transcendental functions can round the last bit differently from its
+    array loops (zdt6). Instances are immutable after construction and safe
+    for concurrent evaluation.
     """
 
     spec: ProblemSpec
@@ -225,13 +228,9 @@ class Problem:
         return self._scored(x)
 
     def evaluate_solution(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        """Objectives and aggregate violation of one decision vector.
-
-        The checks, errors and values of ``evaluate_batch(x[None])``, with
-        the input checked as one row. The objectives still see a (1, d)
-        block: numpy's one-element transcendental functions can round
-        differently from its array loops.
-        """
+        """Objectives and aggregate violation of one decision vector: the
+        checks, errors and values of ``evaluate_batch(x[None])``, with the
+        input checked as one row."""
         spec = self.spec
         x = np.asarray(x, dtype=float)
         if x.shape != (spec.d,):

@@ -24,7 +24,8 @@ def igd(reference: np.ndarray, solutions: np.ndarray) -> IgdResult:
 
     Lower is better; zero means every reference point coincides with some
     obtained point. An empty solution set maps to the "no feasible solutions"
-    convention and raises :class:`IgdUndefined`.
+    convention and raises :class:`IgdUndefined`; a non-finite point raises
+    :class:`ContractViolation`.
     """
     reference = np.asarray(reference, dtype=float)
     solutions = np.asarray(solutions, dtype=float)
@@ -36,10 +37,17 @@ def igd(reference: np.ndarray, solutions: np.ndarray) -> IgdResult:
         raise ContractViolation(
             f"objective counts disagree: reference {reference.shape} vs solutions {solutions.shape}"
         )
-    diffs = reference[:, None, :] - solutions[None, :, :]
-    dists = np.sqrt(np.sum(diffs * diffs, axis=2))
+    for name, points in (("reference", reference), ("solutions", solutions)):
+        if not (finite := np.isfinite(points).all(axis=1)).all():
+            raise ContractViolation(f"{name} row {int(finite.argmin())} is not finite")
+    # by objectives, so the largest temporary is (R, N); up to m = 7 numpy sums an
+    # (R, N, m) block in this order and sqrt is monotone, so that form agrees bitwise
+    sq = np.zeros((len(reference), len(solutions)))
+    for j in range(reference.shape[1]):
+        diff = reference[:, j, None] - solutions[:, j]
+        sq += np.multiply(diff, diff, out=diff)
     return IgdResult(
-        value=float(dists.min(axis=1).mean()),
+        value=float(np.sqrt(sq.min(axis=1)).mean()),
         reference_size=reference.shape[0],
         solution_size=solutions.shape[0],
     )

@@ -102,6 +102,19 @@ class TestRunBenchmark:
         assert [r.error for r in inline] == [f"RuntimeError: blas threads {before}"] * 3
         assert getter() == before
 
+    def test_pool_workers_fix_malloc_thresholds(self, monkeypatch):
+        # each cell reports whether its worker ran the malloc set-up
+        fixed = []
+        monkeypatch.setattr(bench, "fix_malloc_thresholds", lambda: fixed.append(os.getpid()))
+
+        def report_fixed(*args):
+            raise RuntimeError(f"thresholds fixed {os.getpid() in fixed}")
+
+        monkeypatch.setitem(bench.ARM_RUNNERS, "random", report_fixed)
+        pooled = [r for r in run_benchmark(TINY, workers=2) if r.arm == "random"]
+        assert [r.error for r in pooled] == ["RuntimeError: thresholds fixed True"] * 3
+        assert fixed == []  # the set-up ran in the workers, not here
+
     def test_failing_arm_yields_nan_convention(self):
         cfg = ExperimentConfig(
             problems=(ProblemCase("zdt1", d=8),),
@@ -168,6 +181,29 @@ class TestRunBenchmark:
         text = TINY.to_json()
         again = ExperimentConfig.from_json(text)
         assert again == TINY
+
+
+class TestMallocThresholds:
+    def test_glibc_takes_both_thresholds(self):
+        if not hasattr(ctypes.CDLL(None), "gnu_get_libc_version"):
+            pytest.skip("the C library is not glibc")
+        assert bench.fix_malloc_thresholds() is True
+        assert bench.fix_malloc_thresholds() is True  # setting them again is harmless
+
+    def test_no_op_on_another_libc(self, monkeypatch):
+        calls = []
+
+        class MuslLike:  # a libc with a mallopt but none of glibc's symbols
+            def mallopt(self, *args):
+                calls.append(args)
+                return 0
+
+        monkeypatch.setattr(bench.ctypes, "CDLL", lambda name: MuslLike())
+        assert bench.fix_malloc_thresholds() is False
+        monkeypatch.setattr(bench.sys, "platform", "win32")
+        monkeypatch.setattr(bench.ctypes, "CDLL", lambda name: calls.append(name))
+        assert bench.fix_malloc_thresholds() is False
+        assert calls == []
 
 
 class TestRoc:

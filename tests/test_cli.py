@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from popformer import cli
 from popformer.cli import main
 from popformer.model import ModelConfig, PopulationTransformer, save_checkpoint
 
@@ -45,6 +46,22 @@ class TestIgdCommand:
         assert run_cli("igd", "--front", str(front), "--solutions", str(sols)) == 0
         out = capsys.readouterr().out.strip()
         assert float(out) == pytest.approx(5.0, abs=1e-12)
+
+    def test_non_finite_point_fails_naming_its_row(self, tmp_path, capsys):
+        front = tmp_path / "front.csv"
+        sols = tmp_path / "sols.csv"
+        front.write_text("0,0\n1,1\n")
+        sols.write_text("0.5,0.5\nnan,0\n")
+        assert run_cli("igd", "--front", str(front), "--solutions", str(sols)) == 2
+        assert "ContractViolation: solutions row 1 is not finite" in capsys.readouterr().err
+
+
+class TestMallocSetUp:
+    def test_main_fixes_malloc_thresholds_before_parsing(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "fix_malloc_thresholds", lambda: calls.append(True))
+        assert run_cli("not-a-command") == 1
+        assert calls == [True]
 
 
 class TestPipelineCommands:

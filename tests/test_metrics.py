@@ -3,13 +3,65 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from popformer import igd, wilcoxon_rank_sum
 from popformer.errors import ContractViolation, IgdUndefined
 from popformer.metrics import EXACT_ENUMERATION_LIMIT
 
 
+def broadcast_igd(reference, solutions):
+    """IGD from one (R, N, m) block of differences: the reference formula
+    the column-wise ``igd`` must equal bitwise for m <= 7."""
+    diffs = reference[:, None, :] - solutions[None, :, :]
+    return float(np.sqrt(np.sum(diffs * diffs, axis=2)).min(axis=1).mean())
+
+
+@st.composite
+def igd_inputs(draw):
+    """Reference and solution sets of m = 1-5 objectives, R up to 5,000 and N
+    up to 60, at scales 1e-5 to 1e5; a coarse grid gives tied coordinates,
+    and copied rows give duplicated points within and across the sets."""
+    m = draw(st.integers(1, 5), label="m")
+    r = draw(st.sampled_from([1, 2, 7, 100, 5000]), label="R")
+    n = draw(st.integers(1, 60), label="N")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    scale = 10.0 ** draw(st.integers(-5, 5), label="log10 scale")
+    ref, sol = (rng.normal(size=(k, m)) * scale for k in (r, n))
+    if draw(st.booleans(), label="tied"):
+        ref, sol = np.round(ref / scale * 2) * scale, np.round(sol / scale * 2) * scale
+    copies = draw(st.integers(0, min(r, n) - 1), label="copies")
+    sol[:copies] = ref[rng.integers(0, r, size=copies)]
+    if copies and n > copies:
+        sol[-1] = sol[0]
+    return ref, sol
+
+
 class TestIgd:
+    @settings(max_examples=150, deadline=None)
+    @given(igd_inputs())
+    def test_equals_broadcast_formula_bitwise(self, sets):
+        ref, sol = sets
+        assert igd(ref, sol).value == broadcast_igd(ref, sol)
+        assert igd(sol, ref).value == broadcast_igd(sol, ref)
+
+    def test_many_objectives_equal_to_rounding(self):
+        # from m = 8 numpy sums the objective axis pairwise, so the broadcast
+        # form may group the squares differently and differ in the last bit
+        rng = np.random.default_rng(3)
+        for m in (8, 9, 10):
+            ref, sol = rng.random((200, m)), rng.random((30, m))
+            assert igd(ref, sol).value == pytest.approx(broadcast_igd(ref, sol), rel=1e-14)
+
+    @pytest.mark.parametrize("which", ["reference", "solutions"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_names_its_set_and_row(self, which, bad):
+        sets = {"reference": np.zeros((4, 2)), "solutions": np.ones((3, 2))}
+        sets[which][1, 0] = sets[which][2, 1] = bad
+        with pytest.raises(ContractViolation, match=f"{which} row 1 is not finite"):
+            igd(sets["reference"], sets["solutions"])
+
     def test_coincident_sets_zero(self):
         pts = np.array([[0.0, 1.0], [1.0, 0.0]])
         assert igd(pts, pts).value == 0.0
