@@ -27,7 +27,6 @@ from .model import (
 )
 from .moea import (
     FrontPartition,
-    VariationConfig,
     crowding_distance,
     cso_step,
     fast_nondominated_sort,
@@ -52,7 +51,7 @@ __all__ = [
     "EvaluationBudget", "FinetuneConfig", "FrontPartition", "IgdResult", "LsmopProblem",
     "ModelConfig", "Population", "PopulationTransformer", "PretrainConfig", "Problem",
     "ProblemSpec", "RankSumResult", "ShiftClusterProblem", "TrajectoryDataset",
-    "TrajectoryPair", "VariationConfig", "ZdtProblem",
+    "TrajectoryPair", "ZdtProblem",
     "collect_trajectories", "constrained_dominates",
     "crowding_distance", "cso_step", "denormalize_decision", "dominates", "evaluate",
     "fast_nondominated_sort", "finetune_step", "igd", "load_checkpoint", "make_problem",

@@ -21,22 +21,19 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Static description of a problem: dimensions, bounds and constraint count."""
+    """Static description of a problem: dimensions and bounds."""
 
     name: str
     d: int
     m: int
     lower: np.ndarray
     upper: np.ndarray
-    n_constraints: int = 0
 
     def __post_init__(self):
         if self.d < 1:
             raise ContractViolation(f"decision dimension must be positive, got {self.d}")
         if self.m < 2:
             raise ContractViolation(f"objective count must be at least 2, got {self.m}")
-        if self.n_constraints < 0:
-            raise ContractViolation("constraint count must be non-negative")
         lower = _frozen_array(self.lower)
         upper = _frozen_array(self.upper)
         if lower.shape != (self.d,) or upper.shape != (self.d,):
@@ -177,19 +174,10 @@ def denormalize_decision(u: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     return spec.lower + np.asarray(u, dtype=float) * (spec.upper - spec.lower)
 
 
-def aggregate_violation(inequalities: np.ndarray, equalities: np.ndarray | None = None,
-                        eq_tolerance: float = 1e-4):
-    """Collapse constraint values into one non-negative violation per row.
-
-    Constraint values lie along the last axis. Inequalities use the
-    g(x) <= 0 convention; equalities within ``eq_tolerance`` of zero count
-    as satisfied.
-    """
-    total = np.sum(np.maximum(0.0, np.asarray(inequalities, dtype=float)), axis=-1)
-    if equalities is not None and np.size(equalities):
-        h = np.abs(np.asarray(equalities, dtype=float))
-        total = total + np.sum(np.where(h > eq_tolerance, h, 0.0), axis=-1)
-    return total
+def aggregate_violation(inequalities: np.ndarray) -> np.ndarray:
+    """Collapse inequality constraint values, g(x) <= 0 each, into one
+    non-negative violation per row; the values lie along the last axis."""
+    return np.sum(np.maximum(0.0, np.asarray(inequalities, dtype=float)), axis=-1)
 
 
 class Problem:
@@ -258,15 +246,12 @@ class Problem:
 class EvaluationBudget:
     """Thread-safe evaluation counter with atomic reserve/release semantics."""
 
-    def __init__(self, total: int, used: int = 0):
+    def __init__(self, total: int):
         total = int(total)
-        used = int(used)
         if total < 1:
             raise ContractViolation(f"budget total must be positive, got {total}")
-        if not 0 <= used <= total:
-            raise ContractViolation("initial used count outside [0, total]")
         self._total = total
-        self._used = used
+        self._used = 0
         self._lock = threading.Lock()
 
     @property
@@ -310,7 +295,7 @@ def evaluate(pop: Population, problem: Problem, budget: EvaluationBudget) -> Pop
     nothing: the whole grant returns to the budget. When the budget covers only a
     prefix of the pending members, that prefix is evaluated and a
     :class:`BudgetExhausted` is raised carrying the partial population; when it
-    covers none, the signal reports zero evaluations performed.
+    covers none, the signal carries ``pop`` unchanged.
     """
     pending = np.flatnonzero(~pop.evaluated)
     if not len(pending):
@@ -319,7 +304,7 @@ def evaluate(pop: Population, problem: Problem, budget: EvaluationBudget) -> Pop
     if grant == 0:
         raise BudgetExhausted(
             f"budget exhausted: {len(pending)} evaluations requested, none available",
-            performed=0, population=pop,
+            population=pop,
         )
     f = np.full((len(pop), problem.spec.m), np.nan) if pop.f is None else pop.f.copy()
     cv = np.full(len(pop), np.nan) if pop.cv is None else pop.cv.copy()
@@ -333,7 +318,7 @@ def evaluate(pop: Population, problem: Problem, budget: EvaluationBudget) -> Pop
     if grant < len(pending):
         raise BudgetExhausted(
             f"budget exhausted after {grant} of {len(pending)} pending evaluations",
-            performed=grant, population=result,
+            population=result,
         )
     return result
 

@@ -28,14 +28,12 @@ class EvaluationError(RuntimeError):
 class BudgetExhausted(RuntimeError):
     """An evaluation budget could not cover a requested evaluation.
 
-    ``performed`` counts evaluations that did happen before the budget ran
-    out; ``population`` carries the partially evaluated population when one
-    exists, so callers can keep the work already paid for.
+    ``population`` carries the population as far as the budget covered its
+    evaluation, so callers can keep the work already paid for.
     """
 
-    def __init__(self, message: str, performed: int = 0, population=None):
+    def __init__(self, message: str, population=None):
         super().__init__(message)
-        self.performed = performed
         self.population = population
 
 

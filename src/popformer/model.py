@@ -113,18 +113,6 @@ class ModelConfig:
     def hidden(self) -> int:
         return 4 * self.width
 
-    def param_count(self) -> int:
-        """Closed-form parameter count; verified against the live model in tests."""
-        d, w, h = self.d_hat, self.width, self.hidden
-        attn = 4 * (w * w + w)
-        norm = 2 * w
-        mlp = w * h + h + h * w + w
-        encoder_layer = norm + attn + norm + mlp
-        decoder_layer = norm + attn + attn + norm + mlp
-        return (self.d_hat * w + self.m_hat * w
-                + self.layers * (encoder_layer + decoder_layer)
-                + w * d + d)
-
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
@@ -264,10 +252,6 @@ class PopulationTransformer:
 
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
-
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.grad = None
 
     # -- embedding ----------------------------------------------------------
 
@@ -419,14 +403,18 @@ class PopulationTransformer:
         parents' objective frame. The cache is built per call, so it packs
         the weights as they are after any update since the last call.
         Offspring rows are written into arrays preallocated for the target
-        size. A non-finite model output raises :class:`ModelOutputError`
-        naming the generation and the decode step.
+        size, which may not exceed the model's ``max_seq``. A non-finite
+        model output raises :class:`ModelOutputError` naming the generation
+        and the decode step.
         """
         if not parents.all_evaluated:
             raise DataError("generation requires evaluated parents")
         spec = problem.spec
         generation = parents.generation_index + 1
-        n_target = min(n_offspring or len(parents), self.config.max_seq)
+        n_target = n_offspring or len(parents)
+        if n_target > self.config.max_seq:
+            raise CapacityError(f"{n_target} offspring exceed model capacity "
+                                f"{self.config.max_seq}")
         cache = DecoderCache(self, self.encode_parents(parents, spec), n_target)
         x, f, cv = np.empty((n_target, spec.d)), np.empty((n_target, spec.m)), np.empty(n_target)
         x[0] = rng.uniform(spec.lower, spec.upper)
@@ -439,7 +427,7 @@ class PopulationTransformer:
                 if size:
                     break
                 raise BudgetExhausted(
-                    "no budget for the initialization token", performed=0,
+                    "no budget for the initialization token",
                     population=Population(x[:0], generation_index=generation),
                 )
             try:
@@ -525,7 +513,7 @@ def save_checkpoint(model: PopulationTransformer, path) -> None:
         fh.write(blob)
 
 
-def load_checkpoint(path, expect_config: ModelConfig | None = None) -> PopulationTransformer:
+def load_checkpoint(path) -> PopulationTransformer:
     with open(path, "rb") as fh:
         blob = fh.read()
     view = memoryview(blob)
@@ -554,8 +542,6 @@ def load_checkpoint(path, expect_config: ModelConfig | None = None) -> Populatio
     view, (crc,) = view[:-4], struct.unpack("<I", view[-4:])
     if zlib.crc32(view) != crc:
         raise CheckpointError(f"{path}: checksum mismatch, the file is corrupt")
-    if expect_config is not None and config != expect_config:
-        raise CheckpointError(f"{path}: checkpoint config differs from the requested config")
     model = PopulationTransformer(config, seed=0)
     for name, p in model.named_parameters():
         (ndim,) = struct.unpack("<I", take(4, f"{name} rank"))

@@ -7,7 +7,6 @@ partial, and every recorded generation is a post-selection parent population.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ from .core import (
     random_population,
 )
 from .dataset import TrajectoryPair
-from .errors import BudgetExhausted, ConfigError, ContractViolation
+from .errors import BudgetExhausted, ContractViolation
 
 
 @dataclass(frozen=True)
@@ -31,20 +30,10 @@ class FrontPartition:
     rank: np.ndarray
 
 
-@dataclass(frozen=True)
-class VariationConfig:
-    sbx_eta: float = 20.0
-    sbx_prob: float = 1.0
-    pm_eta: float = 20.0
-    pm_prob: float | None = None  # None -> 1/d
-
-    def __post_init__(self):
-        if not (0.0 <= self.sbx_prob <= 1.0):
-            raise ConfigError("sbx_prob must be in [0, 1]")
-        if self.pm_prob is not None and not (0.0 <= self.pm_prob <= 1.0):
-            raise ConfigError("pm_prob must be in [0, 1]")
-        if not all(math.isfinite(eta) and eta > 0 for eta in (self.sbx_eta, self.pm_eta)):
-            raise ConfigError("distribution indices must be finite and positive")
+# the standard NSGA-II operator settings (Deb et al., IEEE TEC 2002); each
+# variable mutates with probability 1/d
+SBX_ETA = PM_ETA = 20.0
+SBX_PROB = 1.0
 
 
 def _dominance_matrix(objs: np.ndarray, cv: np.ndarray) -> np.ndarray:
@@ -152,7 +141,7 @@ def nsga2_select(pop: Population, n: int) -> np.ndarray:
     return _merit_order(pop, n)[:n]
 
 
-def sbx_crossover(a: np.ndarray, b: np.ndarray, draws: np.ndarray, cfg: VariationConfig,
+def sbx_crossover(a: np.ndarray, b: np.ndarray, draws: np.ndarray,
                   lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bounded simulated binary crossover of the parent rows ``a`` and ``b``
     (k, d); children are clamped to bounds.
@@ -163,10 +152,10 @@ def sbx_crossover(a: np.ndarray, b: np.ndarray, draws: np.ndarray, cfg: Variatio
     """
     d = a.shape[1]
     gate, do_var, u, swap = np.split(draws, [1, 1 + d, 1 + 2 * d], axis=1)
-    cross = (gate <= cfg.sbx_prob) & (do_var <= 0.5) & (np.abs(a - b) >= 1e-14)
+    cross = (gate <= SBX_PROB) & (do_var <= 0.5) & (np.abs(a - b) >= 1e-14)
     y1, y2 = np.minimum(a, b)[cross], np.maximum(a, b)[cross]
     lo, hi = np.broadcast_to(lower, a.shape)[cross], np.broadcast_to(upper, a.shape)[cross]
-    span, r, eta = y2 - y1, u[cross], cfg.sbx_eta
+    span, r, eta = y2 - y1, u[cross], SBX_ETA
     # the spread factors toward the lower and the upper bound, one row each
     alpha = 2.0 - (1.0 + 2.0 * np.stack([y1 - lo, hi - y2]) / span) ** -(eta + 1.0)
     bq = np.where(r <= 1.0 / alpha, r * alpha, 1.0 / (2.0 - r * alpha)) ** (1.0 / (eta + 1.0))
@@ -179,21 +168,20 @@ def sbx_crossover(a: np.ndarray, b: np.ndarray, draws: np.ndarray, cfg: Variatio
     return c1, c2
 
 
-def polynomial_mutation(x: np.ndarray, draws: np.ndarray, cfg: VariationConfig,
-                        lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Bounded polynomial mutation of the rows ``x`` (k, d) with per-variable
-    probability.
+def polynomial_mutation(x: np.ndarray, draws: np.ndarray, lower: np.ndarray,
+                        upper: np.ndarray) -> np.ndarray:
+    """Bounded polynomial mutation of the rows ``x`` (k, d), each variable
+    with probability 1/d.
 
     ``draws`` holds each row's uniform variates, (k, 2d): per variable
     whether it mutates, then its spread variate.
     """
-    prob = cfg.pm_prob if cfg.pm_prob is not None else 1.0 / x.shape[1]
     mask, u = np.split(draws, 2, axis=1)
-    hit = mask <= prob
+    hit = mask <= 1.0 / x.shape[1]
     v, r = x[hit], u[hit]
     lo, hi = np.broadcast_to(lower, x.shape)[hit], np.broadcast_to(upper, x.shape)[hit]
     span = hi - lo
-    eta = cfg.pm_eta
+    eta = PM_ETA
     below = r < 0.5
     dist = np.where(below, 1.0 - (v - lo) / span, 1.0 - (hi - v) / span) ** (eta + 1.0)
     val = np.where(below, 2.0 * r + (1.0 - 2.0 * r) * dist,
@@ -203,8 +191,8 @@ def polynomial_mutation(x: np.ndarray, draws: np.ndarray, cfg: VariationConfig,
     return out
 
 
-def sbx_pm_offspring(parents: Population, cfg: VariationConfig,
-                     rng: np.random.Generator, problem: Problem) -> Population:
+def sbx_pm_offspring(parents: Population, rng: np.random.Generator,
+                     problem: Problem) -> Population:
     """Standard NSGA-II variation: tournament mating, SBX, then mutation.
 
     Consecutive picks pair up. Each pair draws one row of 1 + 7d uniforms,
@@ -221,13 +209,13 @@ def sbx_pm_offspring(parents: Population, cfg: VariationConfig,
     sbx_draws, pm1_draws, pm2_draws = np.split(rng.random((n // 2, 1 + 7 * d)),
                                                [1 + 3 * d, 1 + 5 * d], axis=1)
     c1, c2 = sbx_crossover(parents.x[picks[0:even:2]], parents.x[picks[1:even:2]],
-                           sbx_draws, cfg, spec.lower, spec.upper)
+                           sbx_draws, spec.lower, spec.upper)
     children = np.empty((n, d))
-    children[0:even:2] = polynomial_mutation(c1, pm1_draws, cfg, spec.lower, spec.upper)
-    children[1:even:2] = polynomial_mutation(c2, pm2_draws, cfg, spec.lower, spec.upper)
+    children[0:even:2] = polynomial_mutation(c1, pm1_draws, spec.lower, spec.upper)
+    children[1:even:2] = polynomial_mutation(c2, pm2_draws, spec.lower, spec.upper)
     if n % 2:
         children[-1] = polynomial_mutation(parents.x[picks[-1:]], rng.random((1, 2 * d)),
-                                           cfg, spec.lower, spec.upper)
+                                           spec.lower, spec.upper)
     return Population(children, generation_index=parents.generation_index + 1)
 
 
@@ -333,14 +321,12 @@ def run_generational(problem: Problem, n_pop: int, evals: int, make_offspring,
     return RunResult(population=pool.take(selected), log=log, evaluations=budget.used)
 
 
-def run_nsga2(problem: Problem, n_pop: int, evals: int,
-              cfg: VariationConfig | None = None, seed: int = 0,
+def run_nsga2(problem: Problem, n_pop: int, evals: int, seed: int = 0,
               sink: list[TrajectoryPair] | None = None) -> RunResult:
     """NSGA-II with SBX + polynomial mutation."""
-    cfg = cfg or VariationConfig()
     return run_generational(
         problem, n_pop, evals,
-        lambda parents, rng, budget: sbx_pm_offspring(parents, cfg, rng, problem),
+        lambda parents, rng, budget: sbx_pm_offspring(parents, rng, problem),
         seed=seed, sink=sink, teacher_name="nsga2",
     )
 

@@ -205,14 +205,14 @@ def scale(a: Tensor, c: float) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Product over the last two axes; leading axes broadcast.
 
-    A stacked left operand times a 2-d right operand, such as a (B, N, K)
-    activation times a (K, M) weight, runs as one (B*N, K) @ (K, M) product
+    A 2-d right operand, such as a (B, N, K) activation times a (K, M)
+    weight, is :func:`linear` without a bias: one (B*N, K) @ (K, M) product
     forward and in both backward products.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs operands of rank >= 2, got {a.shape} @ {b.shape}")
-    if a.ndim > 2 and b.ndim == 2:
-        return _rows_matmul(a, b)
+    if b.ndim == 2 and a.shape[-1] == b.shape[0]:  # a mismatch raises below
+        return linear(a, b)
     try:
         out = a.data @ b.data
     except ValueError as exc:
@@ -228,62 +228,47 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(out, (a, b), backward)
 
 
-def _rows_matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(..., K) @ (K, M) with every leading row of ``a`` in one 2-d product."""
-    k, m = b.shape
-    if a.shape[-1] != k:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    rows = a.data.reshape(-1, k)
-    out = (rows @ b.data).reshape(a.shape[:-1] + (m,))
-
-    def backward(g):
-        g = g.reshape(-1, m)
-        if a.requires_grad:
-            _accum(a, (g @ b.data.T).reshape(a.shape), fresh=True)
-        if b.requires_grad:
-            _accum(b, rows.T @ g, fresh=True)
-
-    return _emit(out, (a, b), backward)
-
-
-def _linear_backward(g: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor,
+def _linear_backward(g: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor | None,
                      want_x: bool) -> np.ndarray | None:
-    """Accumulate the gradients of ``w`` and ``b`` in ``x @ w + b`` from the
-    output gradient ``g``, and return x's gradient if ``want_x``."""
+    """Accumulate the gradients of ``w`` and any ``b`` in ``x @ w + b`` from
+    the output gradient ``g``, and return x's gradient if ``want_x``."""
     k, m = w.shape
     g_rows = g.reshape(-1, m)
     if w.requires_grad:
         _accum(w, x.reshape(-1, k).T @ g_rows, fresh=True)
-    if b.requires_grad:
+    if b is not None and b.requires_grad:
         _accum(b, g.sum(axis=tuple(range(g.ndim - 1))), fresh=True)
     return (g_rows @ w.data.T).reshape(x.shape) if want_x else None
 
 
-def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``x @ w + b`` with every leading row of ``x`` in one 2-d product."""
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """``x @ w + b``, or ``x @ w`` without ``b``, with every leading row of
+    ``x`` in one 2-d product."""
     k, m = w.shape
-    return (x.reshape(-1, k) @ w).reshape(x.shape[:-1] + (m,)) + b
+    out = (x.reshape(-1, k) @ w).reshape(x.shape[:-1] + (m,))
+    return out if b is None else out + b
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """``x @ w + b`` over the last axis of ``x`` as one node, every leading
-    row in one 2-d product; value and gradients equal ``add(matmul(x, w), b)``.
+    row in one 2-d product; without ``b``, ``x @ w``.
 
     A plain-array ``x`` returns ``x @ w + b`` at once, without the node's
-    set-up: inference makes about 17 one-row calls per decoded row.
+    set-up: inference makes about 17 one-row calls per decoded row, each
+    with a bias.
     """
     if isinstance(x, np.ndarray):
         return x @ w.data + b.data
     if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear shape mismatch: {x.shape} @ {w.shape}")
-    out = _affine(x.data, w.data, b.data)
+    out = _affine(x.data, w.data, None if b is None else b.data)
 
     def backward(g):
         dx = _linear_backward(g, x.data, w, b, x.requires_grad)
         if dx is not None:
             _accum(x, dx, fresh=True)
 
-    return _emit(out, (x, w, b), backward)
+    return _emit(out, (x, w) if b is None else (x, w, b), backward)
 
 
 def split_heads(t: Tensor, heads: int) -> Tensor:

@@ -75,9 +75,17 @@ def collect_trajectories(problems: list[Problem], teachers: list[str], seeds: li
                          n_pop: int, evals: int) -> TrajectoryDataset:
     """Run every (problem, teacher, seed) cell and gather its generation pairs.
 
-    A failing cell is logged and skipped; collection continues. Cells run in
-    sorted key order, so identical inputs give byte-identical datasets.
+    Sizes no cell could run with raise ConfigError before any cell runs; a
+    cell that fails otherwise is logged and skipped, and collection
+    continues. Cells run in sorted key order, so identical inputs give
+    byte-identical datasets.
     """
+    if n_pop < 2:
+        raise ConfigError(f"population size must be >= 2, got {n_pop}")
+    if evals < n_pop:
+        raise ConfigError(f"evals ({evals}) must cover the initial population of {n_pop}")
+    if not seeds:
+        raise ConfigError(f"collection needs at least one seed, got {seeds!r}")
     for t in teachers:
         if t not in TEACHERS:
             raise ConfigError(f"unknown teacher {t!r} (known: {sorted(TEACHERS)})")

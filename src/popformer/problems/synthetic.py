@@ -17,18 +17,16 @@ from ..core import EvaluationBudget, Population, Problem, ProblemSpec, evaluate
 class ShiftClusterProblem(Problem):
     """Unit-box problem whose optimal population update is a constant translation."""
 
-    def __init__(self, d: int, m: int = 2, shift: float | np.ndarray = 0.1,
-                 spread: float = 0.01, name: str = "shift"):
+    SPREAD = 0.01  # half-width of a cluster population around its base point
+
+    def __init__(self, d: int, m: int = 2, shift: float | np.ndarray = 0.1):
         shift_vec = np.asarray(shift, dtype=float)
         if shift_vec.ndim == 0:
             shift_vec = np.full(d, float(shift_vec))
         if shift_vec.shape != (d,):
             raise ValueError(f"shift must be scalar or length-{d}")
-        if spread < 0:
-            raise ValueError("spread must be non-negative")
         self.shift = shift_vec
-        self.spread = float(spread)
-        self.spec = ProblemSpec.unit_box(name=name, d=d, m=m)
+        self.spec = ProblemSpec.unit_box(name="shift", d=d, m=m)
         # smooth anchor-distance objectives so embeddings carry usable signal
         self._anchors = np.linspace(0.0, 1.0, m)[:, None] * np.ones(d)
 
@@ -38,17 +36,17 @@ class ShiftClusterProblem(Problem):
 
     def random_base(self, rng: np.random.Generator) -> np.ndarray:
         """A base point that keeps the whole cluster and its target in the box."""
-        margin = self.spread + np.abs(self.shift)
-        low = np.full(self.spec.d, self.spread)
+        margin = self.SPREAD + np.abs(self.shift)
+        low = np.full(self.spec.d, self.SPREAD)
         high = np.maximum(1.0 - margin, low + 1e-6)
         return rng.uniform(low, high)
 
     def cluster_population(self, n: int, rng: np.random.Generator,
                            base: np.ndarray | None = None) -> Population:
-        """Unevaluated population of n members scattered ``spread`` around a base."""
+        """Unevaluated population of n members scattered ``SPREAD`` around a base."""
         if base is None:
             base = self.random_base(rng)
-        noise = rng.uniform(-self.spread, self.spread, size=(n, self.spec.d))
+        noise = rng.uniform(-self.SPREAD, self.SPREAD, size=(n, self.spec.d))
         xs = np.clip(base[None, :] + noise, 0.0, 1.0)
         return Population(xs)
 

@@ -31,6 +31,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "ConfigError" in err and "lr" in err
 
+    @pytest.mark.parametrize("flags,named", [
+        (("--pop", "1"), "population size must be >= 2, got 1"),
+        (("--evals", "5", "--pop", "10"), "evals (5) must cover the initial population of 10"),
+        (("--seeds", "0"), "at least one seed"),
+    ], ids=["pop-1", "evals-below-pop", "seeds-0"])
+    def test_collect_rejects_bad_sizes_before_any_run(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "data.jsonl"
+        assert run_cli("collect", "--problems", "zdt1", "--d", "4", "--out", str(out),
+                       *flags) == 1
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and named in err
+        assert not out.exists()
+
     def test_selftest_passes(self, capsys):
         assert run_cli("selftest") == 0
         out = capsys.readouterr().out

@@ -8,7 +8,6 @@ from popformer import (
     ModelConfig,
     Population,
     PopulationTransformer,
-    VariationConfig,
     crowding_distance,
     cso_step,
     evaluate,
@@ -23,7 +22,7 @@ from popformer import (
     run_random_search,
     sbx_crossover,
 )
-from popformer.errors import ConfigError, ContractViolation
+from popformer.errors import ContractViolation
 from popformer.moea import _dominance_matrix, _merit_order, run_generational, sbx_pm_offspring
 from popformer.selftest import brute_force_ranks
 
@@ -124,11 +123,16 @@ def reference_tournament(rank, crowd, rng, count):
     return picks
 
 
-def reference_sbx_crossover(a, b, cfg, rng, lower, upper):
+# the standard settings: distribution index 20, crossover probability 1,
+# mutation probability 1/d
+ETA = 20.0
+
+
+def reference_sbx_crossover(a, b, rng, lower, upper):
     c1, c2 = a.copy(), b.copy()
-    if rng.random() > cfg.sbx_prob:
+    if rng.random() > 1.0:
         return c1, c2
-    eta = cfg.sbx_eta
+    eta = ETA
     do_var = rng.random(a.size) <= 0.5
     u = rng.random(a.size)
     swap = rng.random(a.size) <= 0.5
@@ -157,10 +161,10 @@ def reference_sbx_crossover(a, b, cfg, rng, lower, upper):
     return c1, c2
 
 
-def reference_polynomial_mutation(x, cfg, rng, lower, upper):
+def reference_polynomial_mutation(x, rng, lower, upper):
     x = x.copy()
-    prob = cfg.pm_prob if cfg.pm_prob is not None else 1.0 / x.size
-    eta = cfg.pm_eta
+    prob = 1.0 / x.size
+    eta = ETA
     do_var = rng.random(x.size) <= prob
     u = rng.random(x.size)
     for i in np.flatnonzero(do_var):
@@ -179,19 +183,19 @@ def reference_polynomial_mutation(x, cfg, rng, lower, upper):
     return x
 
 
-def reference_sbx_pm_offspring(parents, cfg, rng, problem):
+def reference_sbx_pm_offspring(parents, rng, problem):
     lower, upper = problem.spec.lower, problem.spec.upper
     rank, crowd = reference_rank_and_crowding(parents)
     n = len(parents)
     picks = reference_tournament(rank, crowd, rng, n)
     children = np.empty((n, problem.spec.d))
     for k in range(0, n - 1, 2):
-        c1, c2 = reference_sbx_crossover(parents.x[picks[k]], parents.x[picks[k + 1]], cfg,
+        c1, c2 = reference_sbx_crossover(parents.x[picks[k]], parents.x[picks[k + 1]],
                                          rng, lower, upper)
-        children[k] = reference_polynomial_mutation(c1, cfg, rng, lower, upper)
-        children[k + 1] = reference_polynomial_mutation(c2, cfg, rng, lower, upper)
+        children[k] = reference_polynomial_mutation(c1, rng, lower, upper)
+        children[k + 1] = reference_polynomial_mutation(c2, rng, lower, upper)
     if n % 2:
-        children[-1] = reference_polynomial_mutation(parents.x[picks[-1]], cfg, rng,
+        children[-1] = reference_polynomial_mutation(parents.x[picks[-1]], rng,
                                                      lower, upper)
     return children
 
@@ -393,21 +397,25 @@ class TestMatchesPerFrontReference:
 
 
 class TestVariation:
-    CFG = VariationConfig()
     LOWER = np.zeros(6)
     UPPER = np.ones(6)
+    # mutation draws at or below 1/d mutate their variable, draws above it do not
+    EVERY = 1.0 / 6
+    NONE = np.nextafter(1.0 / 6, 1.0)
 
     def sbx(self, a, b, rng):
         """SBX of the rows of ``a`` and ``b`` with draws from ``rng``."""
         a, b = np.atleast_2d(a), np.atleast_2d(b)
-        return sbx_crossover(a, b, rng.random((len(a), 1 + 3 * a.shape[1])), self.CFG,
+        return sbx_crossover(a, b, rng.random((len(a), 1 + 3 * a.shape[1])),
                              self.LOWER, self.UPPER)
 
-    def pm(self, x, cfg, rng):
-        """Polynomial mutation of the rows of ``x`` with draws from ``rng``."""
+    def pm(self, x, mask, rng):
+        """Polynomial mutation of the rows of ``x`` with draws from ``rng``,
+        every mutation draw replaced by ``mask``."""
         x = np.atleast_2d(x)
-        return polynomial_mutation(x, rng.random((len(x), 2 * x.shape[1])), cfg,
-                                   self.LOWER, self.UPPER)
+        draws = rng.random((len(x), 2 * x.shape[1]))
+        draws[:, :x.shape[1]] = mask
+        return polynomial_mutation(x, draws, self.LOWER, self.UPPER)
 
     def test_sbx_identical_parents_identical_children(self):
         p = np.full(6, 0.3)
@@ -435,36 +443,31 @@ class TestVariation:
             assert np.all(c >= 0.0) and np.all(c <= 1.0)
 
     def test_pm_zero_probability_identity(self):
-        cfg = VariationConfig(pm_prob=0.0)
         x = np.full(6, 0.3)
-        out = self.pm(x, cfg, np.random.default_rng(0))
+        out = self.pm(x, self.NONE, np.random.default_rng(0))
         assert np.array_equal(out[0], x)
 
+    def test_pm_mutates_every_variable_drawn_at_most_one_over_d(self):
+        x = np.full((50, 6), 0.3)
+        out = self.pm(x, self.EVERY, np.random.default_rng(0))
+        assert np.all(out != x)
+
     def test_pm_reproducible(self):
-        cfg = VariationConfig(pm_prob=1.0)
         x = np.full(6, 0.5)
-        a = self.pm(x, cfg, np.random.default_rng(5))
-        b = self.pm(x, cfg, np.random.default_rng(5))
+        a = self.pm(x, self.EVERY, np.random.default_rng(5))
+        b = self.pm(x, self.EVERY, np.random.default_rng(5))
         assert np.array_equal(a, b)
 
     def test_pm_symmetric_at_midpoint_monte_carlo(self):
-        cfg = VariationConfig(pm_prob=1.0)
         x = np.full((10_000, 6), 0.5)
-        deltas = self.pm(x, cfg, np.random.default_rng(8)) - 0.5
+        deltas = self.pm(x, self.EVERY, np.random.default_rng(8)) - 0.5
         se = deltas.std(axis=0) / np.sqrt(len(deltas))
         assert np.all(np.abs(deltas.mean(axis=0)) <= 3 * se)
 
     def test_pm_stays_in_bounds(self):
-        cfg = VariationConfig(pm_prob=1.0)
         rng = np.random.default_rng(10)
-        out = self.pm(rng.random((500, 6)), cfg, rng)
+        out = self.pm(rng.random((500, 6)), self.EVERY, rng)
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
-
-    @pytest.mark.parametrize("field", ["sbx_eta", "pm_eta"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0])
-    def test_distribution_index_must_be_finite_and_positive(self, field, value):
-        with pytest.raises(ConfigError):
-            VariationConfig(**{field: value})
 
     @settings(max_examples=50, deadline=None)
     @given(n=st.integers(2, 15), d=st.integers(2, 8), name=st.sampled_from(["zdt1", "zdt4"]),
@@ -475,8 +478,8 @@ class TestVariation:
         rng = np.random.default_rng(seed)
         parents = evaluated(prob, rng.uniform(prob.spec.lower, prob.spec.upper, (n, d)))
         ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        got = sbx_pm_offspring(parents, self.CFG, ours, prob).x
-        want = reference_sbx_pm_offspring(parents, self.CFG, theirs, prob)
+        got = sbx_pm_offspring(parents, ours, prob).x
+        want = reference_sbx_pm_offspring(parents, theirs, prob)
         span = prob.spec.upper - prob.spec.lower
         # numpy's array power and Python's scalar pow may differ in the last bit
         assert np.all(np.abs(got - want) <= 1e-12 * span)
@@ -567,7 +570,7 @@ class TestRunLoops:
         rng = np.random.default_rng(2)
         pop = evaluated(prob, rng.uniform(prob.spec.lower, prob.spec.upper, (10, 6)))
         for seed in range(5):
-            off = sbx_pm_offspring(pop, VariationConfig(), np.random.default_rng(seed), prob)
+            off = sbx_pm_offspring(pop, np.random.default_rng(seed), prob)
             xs = off.x
             assert np.all(xs >= prob.spec.lower) and np.all(xs <= prob.spec.upper)
 
@@ -626,8 +629,7 @@ class TestRunLoops:
             return {"offspring": len(offspring)}
 
         result = run_generational(
-            prob, 10, 35, lambda parents, rng, budget: sbx_pm_offspring(
-                parents, VariationConfig(), rng, prob),
+            prob, 10, 35, lambda parents, rng, budget: sbx_pm_offspring(parents, rng, prob),
             after_generation=hook)
         assert seen == [(10, 10), (10, 10), (10, 5)]
         assert [e["offspring"] for e in result.log] == [10, 10, 5]

@@ -412,7 +412,6 @@ class TestFinetune:
             pair = TrajectoryPair.from_populations(self.problem.spec, x_g, target,
                                                    "t", seed, 0)
             before = teacher_forced_loss(model, [(pair.x_g, pair.x_g1)], pair.unit_spec())
-            model.zero_grad()
             online_update(model, x_g, x_g1, self.problem, selected)
             after = teacher_forced_loss(model, [(pair.x_g, pair.x_g1)], pair.unit_spec())
             wins += after <= before

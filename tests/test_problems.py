@@ -292,12 +292,12 @@ class TestShiftFamily:
         assert np.allclose(target.x, np.clip(pop.x + 0.1, 0, 1))
 
     def test_cluster_stays_near_base_and_in_box(self):
-        prob = ShiftClusterProblem(d=4, shift=0.05, spread=0.02)
+        prob = ShiftClusterProblem(d=4, shift=0.05)
         rng = np.random.default_rng(1)
         base = prob.random_base(rng)
         pop = prob.cluster_population(8, rng, base=base)
         xs = pop.x
-        assert np.all(np.abs(xs - base) <= 0.02 + 1e-12)
+        assert np.all(np.abs(xs - base) <= 0.01 + 1e-12)
         target = prob.target_population(pop).x
         assert np.all(target >= 0) and np.all(target <= 1)
         # interior base: the shift is applied exactly, no clamping

@@ -99,6 +99,32 @@ class TestMatmul:
         out = matmul(const(a), const(b))
         assert np.allclose(out.data, a @ b)
 
+    @staticmethod
+    def rows_product(a, b, g):
+        """The value and the gradients of ``a`` and ``b`` in ``a @ b`` for a
+        2-d ``b`` and output gradient ``g``, as matmul computed them when it
+        had its own rows product: a 2-d ``a`` by the last-two-axes formula,
+        a stacked one with every leading row in one 2-d product."""
+        if a.ndim == 2:
+            return a @ b, g @ np.swapaxes(b, -1, -2), np.swapaxes(a, -1, -2) @ g
+        k, m = b.shape
+        rows, g_rows = a.reshape(-1, k), g.reshape(-1, m)
+        return ((rows @ b).reshape(a.shape[:-1] + (m,)), (g_rows @ b.T).reshape(a.shape),
+                rows.T @ g_rows)
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["2d", "stacked", "stacked-2"])
+    def test_two_d_right_operand_bitwise_equal_to_the_rows_product(self, lead):
+        rng = np.random.default_rng(7)
+        a, b = leaf(rng.normal(size=lead + (4, 5))), leaf(rng.normal(size=(5, 3)))
+        g = rng.normal(size=lead + (4, 3))
+        with Tape() as tape:
+            out = matmul(a, b)
+            loss = sum_all(mul(out, const(g)))
+        tape.backward(loss)
+        want = self.rows_product(a.data, b.data, g)
+        for got, expected in zip((out.data, a.grad, b.grad), want):
+            assert np.array_equal(got, expected)
+
     def test_finite_differences(self):
         rng = np.random.default_rng(3)
         a = leaf(rng.normal(size=(3, 4)))
