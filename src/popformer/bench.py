@@ -15,11 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import require_ints
 from .errors import ConfigError, IgdUndefined
 from .metrics import igd, wilcoxon_rank_sum
 from .model import ModelConfig, PopulationTransformer, load_checkpoint
 from .moea import run_cso, run_nsga2, run_random_search
-from .pipeline import FinetuneConfig, require_ints, run_nsga2_model
+from .pipeline import FinetuneConfig, run_nsga2_model
 from .problems import make_problem
 
 

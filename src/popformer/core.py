@@ -10,7 +10,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExhausted, ContractViolation, EvaluationError, UnsupportedFront
+from .errors import (BudgetExhausted, ConfigError, ContractViolation, EvaluationError,
+                     UnsupportedFront)
+
+
+def require_ints(obj, *names: str) -> None:
+    """Raise ConfigError unless each named field of ``obj`` is an int."""
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) is not int:  # a bool, a float or a string is not a count
+            raise ConfigError(f"{name} must be an int, got {value!r}")
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:

@@ -42,6 +42,7 @@ from .core import (
     ProblemSpec,
     denormalize_decision,
     normalize_decision,
+    require_ints,
 )
 from .dataset import minmax_normalize_objectives, objective_frame
 from .errors import (
@@ -80,7 +81,6 @@ from .nn.tensor import Tensor
 
 CHECKPOINT_MAGIC = b"PETM"
 CHECKPOINT_VERSION = 2
-CAPACITY_FIELDS = ("d_hat", "m_hat", "width", "layers", "heads", "max_seq")
 # objectives normalized in a parent frame are clipped to this window, so an
 # outlier offspring cannot blow up activations
 FRAME_WINDOW = (-1.0, 2.0)
@@ -98,10 +98,7 @@ class ModelConfig:
     max_seq: int = 100    # largest population the model accepts
 
     def __post_init__(self):
-        for name in CAPACITY_FIELDS:
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ConfigError(f"{name} must be an int, got {value!r}")
+        require_ints(self, "d_hat", "m_hat", "width", "layers", "heads", "max_seq")
         if self.layers < 1:
             raise ConfigError("layers must be >= 1")
         if self.width % self.heads != 0:
@@ -450,7 +447,8 @@ class PopulationTransformer:
         consumes the target sequence without its last element (its first
         element plays the initialization-token role, matching generation);
         position k predicts target k+1. Only the first d head outputs enter
-        the loss; padded components are masked away.
+        the loss: the goal copies the prediction into its padded columns, so
+        their error is exactly 0.
         """
         if not pairs:
             raise DataError("teacher forcing needs at least one pair")
@@ -471,13 +469,10 @@ class PopulationTransformer:
         y = self.decode(self.embed(targets_x[:, :-1], targets_f[:, :-1], spec, frame=frame),
                         self.encode_layers(self.embed(parents_x, parents_f, spec)))
         pred = self.head_activations(y)  # (pairs, size - 1, d_hat)
-        goal = np.zeros(pred.shape)
+        goal = pred.data.copy()
         goal[..., :spec.d] = normalize_decision(targets_x[:, 1:], spec)
-        mask = np.zeros(self.config.d_hat)
-        mask[:spec.d] = 1.0
         diff = sub(pred, const(goal))
-        masked_sq = mul(mul(diff, diff), const(mask))
-        return scale(sum_all(masked_sq), 1.0 / ((size - 1) * spec.d))
+        return scale(sum_all(mul(diff, diff)), 1.0 / ((size - 1) * spec.d))
 
 
 def teacher_forced_loss(model: PopulationTransformer,

@@ -23,23 +23,20 @@ from .tensor import (
     const,
     logistic,
     matmul,
-    mean_all,
     merge_heads,
     mul,
     relu,
-    reshape,
     scale,
     softmax,
     split_heads,
     sub,
     sum_all,
-    swapaxes,
 )
 
 __all__ = [
     "Adam", "AttentionParams", "LinearParams", "MlpParams", "NormParams", "Tape", "Tensor",
     "add", "attention_params", "causal_mask", "const", "gradient_check",
-    "layer_norm", "linear", "logistic", "matmul", "mean_all", "merge_heads", "mlp_block",
-    "mlp_params", "mul", "multi_head_attention", "norm_params", "relu", "reshape",
-    "scale", "softmax", "split_heads", "sub", "sum_all", "swapaxes", "uniform_linear",
+    "layer_norm", "linear", "logistic", "matmul", "merge_heads", "mlp_block",
+    "mlp_params", "mul", "multi_head_attention", "norm_params", "relu",
+    "scale", "softmax", "split_heads", "sub", "sum_all", "uniform_linear",
 ]

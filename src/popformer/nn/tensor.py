@@ -7,14 +7,16 @@ rule. The walk pops each node as it runs that rule, so an intermediate the
 caller does not hold is freed, with its data, gradient and the arrays its
 rule captured, as soon as no later rule can need it. Without an active tape,
 primitives are plain numpy math. relu, logistic, softmax, layer_norm, linear,
-attention, scale, reshape and swapaxes also take their activation as a plain
-ndarray, a constant, and return the plain array their Tensor form computes:
-inference builds no Tensor at all.
+attention and scale also take their activation as a plain ndarray, a
+constant, and return the plain array their Tensor form computes: inference
+builds no Tensor at all.
 
-``linear`` and ``attention`` are fused: each records one node whose backward
-rule is derived by hand, where the same math composed from the other
-primitives would record several (the composites stay in the tests as the
-oracle).
+The tape holds only the rules training records. ``add``, ``sub`` and ``mul``
+take operands of one shape and do not broadcast; ``matmul`` is ``linear``
+without a bias. ``linear`` and ``attention`` are fused: each records one node
+whose backward rule is derived by hand, where the same math composed from
+smaller primitives would record several (those primitives and the composites
+stay in the tests as the oracle).
 """
 from __future__ import annotations
 
@@ -54,15 +56,6 @@ class Tensor:
 
     def __add__(self, other):
         return add(self, _wrap(other))
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
-    def reshape(self, shape: tuple[int, ...]) -> "Tensor":
-        return reshape(self, shape)
-
-    def swapaxes(self, axis1: int, axis2: int) -> "Tensor":
-        return swapaxes(self, axis1, axis2)
 
 
 def _wrap(x) -> Tensor:
@@ -144,53 +137,42 @@ def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward) -> Tensor:
     return out
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce a broadcast gradient back to the original operand shape."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    keep = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if keep:
-        g = g.sum(axis=keep, keepdims=True)
-    return g
+def _same_shape(name: str, a: Tensor, b: Tensor) -> None:
+    if a.shape != b.shape:
+        raise ShapeError(f"{name} needs operands of one shape, got {a.shape} and {b.shape}")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data + b.data
+    _same_shape("add", a, b)
 
     def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.shape))
+        _accum(a, g)
+        _accum(b, g)
 
-    return _emit(out, (a, b), backward)
+    return _emit(a.data + b.data, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
+    _same_shape("sub", a, b)
 
     def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.shape))
+        _accum(a, g)
         if b.requires_grad:
-            _accum(b, -_unbroadcast(g, b.shape), fresh=True)
+            _accum(b, -g, fresh=True)
 
-    return _emit(out, (a, b), backward)
+    return _emit(a.data - b.data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
+    _same_shape("mul", a, b)
 
     def backward(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.shape), fresh=True)
+            _accum(a, g * b.data, fresh=True)
         if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.shape), fresh=True)
+            _accum(b, g * a.data, fresh=True)
 
-    return _emit(out, (a, b), backward)
+    return _emit(a.data * b.data, (a, b), backward)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -203,29 +185,11 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Product over the last two axes; leading axes broadcast.
-
-    A 2-d right operand, such as a (B, N, K) activation times a (K, M)
-    weight, is :func:`linear` without a bias: one (B*N, K) @ (K, M) product
-    forward and in both backward products.
-    """
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs operands of rank >= 2, got {a.shape} @ {b.shape}")
-    if b.ndim == 2 and a.shape[-1] == b.shape[0]:  # a mismatch raises below
-        return linear(a, b)
-    try:
-        out = a.data @ b.data
-    except ValueError as exc:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}") from exc
-
-    def backward(g):
-        # the transpose of the last two axes, for 2-d and stacked operands
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape), fresh=True)
-        if b.requires_grad:
-            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape), fresh=True)
-
-    return _emit(out, (a, b), backward)
+    """``a @ b`` for a (..., K) activation ``a`` of rank >= 2 and a (K, M)
+    weight ``b``: :func:`linear` without a bias."""
+    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
+        raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
+    return linear(a, b)
 
 
 def _linear_backward(g: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor | None,
@@ -271,13 +235,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _emit(out, (x, w) if b is None else (x, w, b), backward)
 
 
-def split_heads(t: Tensor, heads: int) -> Tensor:
-    """(..., s, D) rows to (..., heads, s, D/heads) per-head slices."""
+def split_heads(t: np.ndarray, heads: int) -> np.ndarray:
+    """(..., s, D) array rows to a (..., heads, s, D/heads) view of per-head slices."""
     return t.reshape(t.shape[:-1] + (heads, t.shape[-1] // heads)).swapaxes(-3, -2)
 
 
-def merge_heads(t: Tensor) -> Tensor:
-    """Inverse of :func:`split_heads`: (..., heads, s, dk) to (..., s, heads * dk)."""
+def merge_heads(t: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`split_heads`: a (..., heads, s, dk) array to (..., s, heads * dk)."""
     *outer, heads, s, dk = t.shape
     return t.swapaxes(-3, -2).reshape((*outer, s, heads * dk))
 
@@ -364,32 +328,11 @@ def logistic(a: Tensor) -> Tensor:
     return _emit(out, (a,), backward)
 
 
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = _values(a).reshape(shape)
-
-    def backward(g):
-        _accum(a, g.reshape(a.shape))
-
-    return _emit(out, (a,), backward)
-
-
-def swapaxes(a: Tensor, axis1: int, axis2: int) -> Tensor:
-    """Exchange two axes; the backward rule exchanges them back."""
-    def backward(g):
-        _accum(a, g.swapaxes(axis1, axis2))
-
-    return _emit(_values(a).swapaxes(axis1, axis2), (a,), backward)
-
-
 def sum_all(a: Tensor) -> Tensor:
     def backward(g):
         _accum(a, np.broadcast_to(g, a.shape).copy(), fresh=True)
 
     return _emit(np.asarray(a.data.sum()), (a,), backward)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    return scale(sum_all(a), 1.0 / a.data.size)
 
 
 def _softmax_rows(z: np.ndarray, mask: np.ndarray | None, factor: float) -> np.ndarray:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Population, Problem, ProblemSpec
+from .core import Population, Problem, ProblemSpec, require_ints
 from .dataset import TrajectoryDataset, TrajectoryPair
 from .errors import CapacityError, ConfigError, ContractViolation, DataError
 from .metrics import igd
@@ -17,13 +17,6 @@ from .moea import TEACHERS, RunResult, run_generational
 from .nn import Adam
 
 log = logging.getLogger(__name__)
-
-
-def require_ints(obj, *names: str) -> None:
-    for name in names:
-        value = getattr(obj, name)
-        if type(value) is not int:  # a bool, a float or a string is not a count
-            raise ConfigError(f"{name} must be an int, got {value!r}")
 
 
 def _require_rate(obj, name: str, zero_ok: bool = False) -> None:
@@ -84,8 +77,9 @@ def collect_trajectories(problems: list[Problem], teachers: list[str], seeds: li
         raise ConfigError(f"population size must be >= 2, got {n_pop}")
     if evals < n_pop:
         raise ConfigError(f"evals ({evals}) must cover the initial population of {n_pop}")
-    if not seeds:
-        raise ConfigError(f"collection needs at least one seed, got {seeds!r}")
+    for what, given in (("problem", problems), ("teacher", teachers), ("seed", seeds)):
+        if not given:
+            raise ConfigError(f"collection needs at least one {what}, got {given!r}")
     for t in teachers:
         if t not in TEACHERS:
             raise ConfigError(f"unknown teacher {t!r} (known: {sorted(TEACHERS)})")

@@ -22,13 +22,15 @@ def available_problems() -> list[str]:
     return names
 
 
-def make_problem(name: str, d: int | None = None, m: int | None = None, **kwargs):
+def make_problem(name: str, d: int | None = None, m: int | None = None, shift=None):
     """Build a problem by registry name, e.g. ``make_problem("zdt1", d=30)``.
 
     ZDT is always bi-objective; LSMOP defaults to m=3 and d=100*m; the shift
-    family defaults to d=8, m=2.
+    family defaults to d=8, m=2 and its own step, and only it takes ``shift``.
     """
     key = name.strip().lower()
+    if shift is not None and key != "shift":
+        raise ConfigError(f"problem {name!r} takes no shift; only the shift family does")
     if key.startswith("zdt") and key[3:].isdigit():
         if m not in (None, 2):
             raise ConfigError("ZDT problems are bi-objective; omit m or pass m=2")
@@ -37,5 +39,6 @@ def make_problem(name: str, d: int | None = None, m: int | None = None, **kwargs
         m = 3 if m is None else m
         return LsmopProblem(int(key[5:]), d=100 * m if d is None else d, m=m)
     if key == "shift":
-        return ShiftClusterProblem(d=8 if d is None else d, m=2 if m is None else m, **kwargs)
+        step = {} if shift is None else {"shift": shift}
+        return ShiftClusterProblem(d=8 if d is None else d, m=2 if m is None else m, **step)
     raise ConfigError(f"unknown problem {name!r} (known: {', '.join(available_problems())})")

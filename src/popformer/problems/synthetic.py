@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import EvaluationBudget, Population, Problem, ProblemSpec, evaluate
+from ..errors import ConfigError
 
 
 class ShiftClusterProblem(Problem):
@@ -24,7 +25,8 @@ class ShiftClusterProblem(Problem):
         if shift_vec.ndim == 0:
             shift_vec = np.full(d, float(shift_vec))
         if shift_vec.shape != (d,):
-            raise ValueError(f"shift must be scalar or length-{d}")
+            raise ConfigError(f"shift must be a scalar or of length {d}, got shape "
+                              f"{shift_vec.shape}")
         self.shift = shift_vec
         self.spec = ProblemSpec.unit_box(name="shift", d=d, m=m)
         # smooth anchor-distance objectives so embeddings carry usable signal

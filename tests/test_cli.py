@@ -35,7 +35,9 @@ class TestExitCodes:
         (("--pop", "1"), "population size must be >= 2, got 1"),
         (("--evals", "5", "--pop", "10"), "evals (5) must cover the initial population of 10"),
         (("--seeds", "0"), "at least one seed"),
-    ], ids=["pop-1", "evals-below-pop", "seeds-0"])
+        (("--problems", ","), "at least one problem"),
+        (("--teachers", ""), "at least one teacher"),
+    ], ids=["pop-1", "evals-below-pop", "seeds-0", "no-problems", "no-teachers"])
     def test_collect_rejects_bad_sizes_before_any_run(self, tmp_path, capsys, flags, named):
         out = tmp_path / "data.jsonl"
         assert run_cli("collect", "--problems", "zdt1", "--d", "4", "--out", str(out),

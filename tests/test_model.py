@@ -364,7 +364,7 @@ class TestTeacherForcing:
         self.targets = evaluated_pop(self.problem, 6, seed=2)
 
     def test_loss_zero_iff_predictions_equal_targets(self):
-        # the loss is a masked MSE: feeding the model's own predictions back
+        # the loss is an MSE: feeding the model's own predictions back
         # as the comparison matrix must give exactly zero
         spec = self.problem.spec
         with Tape() as tape:
@@ -386,11 +386,20 @@ class TestTeacherForcing:
     def test_loss_ignores_padded_head_columns(self):
         spec = self.problem.spec
         base = teacher_forced_loss(self.model, [(self.parents, self.targets)], spec)
-        # rewire head columns beyond d; the masked loss must not move
+        # rewire head columns beyond d; the loss must not move
         self.model.head.w.data[:, spec.d:] += 123.0
         self.model.head.b.data[spec.d:] -= 7.0
         again = teacher_forced_loss(self.model, [(self.parents, self.targets)], spec)
         assert again == base
+
+    def test_padded_head_columns_get_exactly_zero_gradients(self):
+        # the goal's padded columns are the prediction itself, so their
+        # error, and every gradient through them, is exactly 0
+        spec = self.problem.spec
+        teacher_forced_loss(self.model, [(self.parents, self.targets)], spec)
+        head = self.model.head
+        assert np.all(head.w.grad[:, spec.d:] == 0.0) and np.all(head.b.grad[spec.d:] == 0.0)
+        assert np.all(head.b.grad[:spec.d] != 0.0)
 
     def test_causality_exact(self):
         spec = self.problem.spec

@@ -324,6 +324,18 @@ class TestShiftFamily:
         with pytest.raises(UnsupportedFront):
             make_problem("shift").reference_front(10)
 
+    @pytest.mark.parametrize("name", ["zdt1", "lsmop1"])
+    def test_shift_rejected_outside_the_shift_family(self, name):
+        with pytest.raises(ConfigError, match="takes no shift"):
+            make_problem(name, shift=0.1)
+
+    def test_wrong_length_shift_vector_rejected(self):
+        with pytest.raises(ConfigError, match="length 4"):
+            ShiftClusterProblem(d=4, shift=np.full(3, 0.1))
+        with pytest.raises(ConfigError, match="length 4"):
+            make_problem("shift", d=4, shift=[0.1, 0.2])
+        assert np.array_equal(make_problem("shift", d=2, shift=[0.1, 0.2]).shift, [0.1, 0.2])
+
 
 # ---------------------------------------------------------------------------
 # row-block evaluation
