@@ -242,8 +242,11 @@ def run_benchmark(cfg: ExperimentConfig, workers: int = 1) -> list[RunRecord]:
     process pool, each worker pinned to one BLAS thread, and merge back in
     key order. A cell whose worker raised or died, which breaks the pool for
     every cell still pending, becomes a ``failed`` record naming the error;
-    finished cells keep their results.
+    finished cells keep their results. Fewer than one worker is a
+    ConfigError.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     payloads = []
     for case in cfg.problems:
         for arm in cfg.arms:

@@ -323,7 +323,8 @@ def evaluate(pop: Population, problem: Problem, budget: EvaluationBudget) -> Pop
     except Exception:
         budget.release(grant)
         raise
-    result = Population(pop.x, f, cv, pop.generation_index)
+    # x was checked with pop, and _scored has just checked the new f and cv rows
+    result = Population._derived(pop.x, f, cv, pop.generation_index)
     if grant < len(pending):
         raise BudgetExhausted(
             f"budget exhausted after {grant} of {len(pending)} pending evaluations",

@@ -119,13 +119,32 @@ def crowding_distance(objs: np.ndarray, rank: np.ndarray | None = None) -> np.nd
     return scores
 
 
-def _merit_order(pop: Population, n_rank: int | None = None) -> np.ndarray:
+def _merit_order(pop: Population, rank: np.ndarray | None = None) -> np.ndarray:
     """Member indices ordered by (rank asc, crowding desc, index asc), with
-    crowding scored within each front; ``n_rank`` stops the sort early, so
-    only the first ``n_rank`` places are meaningful."""
-    rank = fast_nondominated_sort(pop, n_rank).rank
+    crowding scored within each front. ``rank`` gives the members' front
+    ranks when they are known, and the sort is skipped."""
+    if rank is None:
+        rank = fast_nondominated_sort(pop).rank
+    elif len(rank) != len(pop):
+        raise ContractViolation(f"{len(rank)} ranks given for {len(pop)} members")
     # lexsort is stable, so equal keys stay in index order
     return np.lexsort((-crowding_distance(pop.f, rank), rank))
+
+
+def _ranked_select(pop: Population, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`nsga2_select`'s indices and the front ranks of the members
+    they pick.
+
+    Those ranks are the ones the survivors get when sorted on their own: they
+    hold whole fronts 1..k-1 and part of front k, and every member of a front
+    j > 1 keeps a dominator from front j-1 (also under constrained dominance).
+    """
+    if not 0 <= n <= len(pop):
+        raise ContractViolation(f"cannot select {n} from a population of {len(pop)}")
+    # the sort stops at the first front that fills the n places
+    rank = fast_nondominated_sort(pop, n).rank
+    selected = _merit_order(pop, rank)[:n]
+    return selected, rank[selected]
 
 
 def nsga2_select(pop: Population, n: int) -> np.ndarray:
@@ -136,9 +155,7 @@ def nsga2_select(pop: Population, n: int) -> np.ndarray:
     The indices are ordered by (rank asc, crowding desc, index asc); that
     canonical order doubles as the target ordering for sequence training.
     """
-    if not 0 <= n <= len(pop):
-        raise ContractViolation(f"cannot select {n} from a population of {len(pop)}")
-    return _merit_order(pop, n)[:n]
+    return _ranked_select(pop, n)[0]
 
 
 def sbx_crossover(a: np.ndarray, b: np.ndarray, draws: np.ndarray,
@@ -191,10 +208,13 @@ def polynomial_mutation(x: np.ndarray, draws: np.ndarray, lower: np.ndarray,
     return out
 
 
-def sbx_pm_offspring(parents: Population, rng: np.random.Generator,
-                     problem: Problem) -> Population:
+def sbx_pm_offspring(parents: Population, rng: np.random.Generator, problem: Problem,
+                     rank: np.ndarray | None = None) -> Population:
     """Standard NSGA-II variation: tournament mating, SBX, then mutation.
 
+    The tournament reads the parents' front ranks from ``rank`` when given
+    (the run loop passes the ones its selection assigned) and sorts the
+    parents otherwise; crowding is scored on the parents either way.
     Consecutive picks pair up. Each pair draws one row of 1 + 7d uniforms,
     its SBX variates followed by each child's mutation variates; an odd last
     pick is only mutated, with 2d more draws.
@@ -202,7 +222,7 @@ def sbx_pm_offspring(parents: Population, rng: np.random.Generator,
     spec = problem.spec
     n, d = len(parents), spec.d
     # binary tournaments between uniform draws, won by the earlier merit place
-    place = np.argsort(_merit_order(parents))
+    place = np.argsort(_merit_order(parents, rank))
     i, j = rng.integers(0, n, size=(n, 2)).T
     picks = np.where(place[i] <= place[j], i, j)
     even = n - n % 2
@@ -219,15 +239,17 @@ def sbx_pm_offspring(parents: Population, rng: np.random.Generator,
     return Population(children, generation_index=parents.generation_index + 1)
 
 
-def cso_step(pop: Population, rng: np.random.Generator, problem: Problem) -> Population:
+def cso_step(pop: Population, rng: np.random.Generator, problem: Problem,
+             rank: np.ndarray | None = None) -> Population:
     """Competitive-swarm update: random pairing, each loser moves a random
     fraction toward its winner; winners (and any odd leftover) pass through
-    with their evaluations intact, losers come back unevaluated."""
+    with their evaluations intact, losers come back unevaluated. Front ranks
+    come from ``rank`` when given, as in :func:`sbx_pm_offspring`."""
     if not pop.all_evaluated:
         raise ContractViolation("competitive-swarm step requires an evaluated population")
     spec = problem.spec
     # the earlier merit place wins; rank already encodes constrained dominance
-    place = np.argsort(_merit_order(pop))
+    place = np.argsort(_merit_order(pop, rank))
     perm = rng.permutation(len(pop))
     i, j = perm[:len(pop) - len(pop) % 2].reshape(-1, 2).T  # consecutive entries pair up
     i_wins = place[i] <= place[j]
@@ -268,14 +290,16 @@ def run_generational(problem: Problem, n_pop: int, evals: int, make_offspring,
     """The select-vary-evaluate loop every run goes through, with exact budget
     accounting.
 
-    ``make_offspring(parents, rng, budget) -> Population`` may evaluate members
+    ``make_offspring(parents, rank, rng, budget) -> Population`` receives
+    the parents' front ranks from their selection. It may evaluate members
     itself within the budget and may return a mix of evaluated and unevaluated
     members; the loop evaluates what is left, budget permitting. A generation
     that consumes no evaluations is a contract violation, since the budget
     would never drain. Each generation's environmental selection over
-    parents and offspring is made once and gives the next parents (and, after
-    the last generation, the final population). ``after_generation(parents,
-    offspring, selected) -> dict``, when given, receives that selection's
+    parents and offspring is made once, with one non-dominated sort, and
+    gives the next parents and their ranks (and, after the last generation,
+    the final population). ``after_generation(parents, offspring,
+    selected) -> dict``, when given, receives that selection's
     indices into the parents followed by the offspring; its entries join the
     generation's log entry. Each loop iteration records its post-selection
     parents; consecutive recorded parents become trajectory pairs appended to
@@ -288,7 +312,7 @@ def run_generational(problem: Problem, n_pop: int, evals: int, make_offspring,
     budget = EvaluationBudget(evals)
     rng = np.random.default_rng(seed)
     pool = evaluate(random_population(problem, n_pop, rng), problem, budget)
-    selected = nsga2_select(pool, n_pop)
+    selected, rank = _ranked_select(pool, n_pop)
     log: list[dict] = []
     prev_parents: Population | None = None
     generation = 0
@@ -301,13 +325,14 @@ def run_generational(problem: Problem, n_pop: int, evals: int, make_offspring,
             ))
         prev_parents = parents
         used_before = budget.used
-        offspring = _evaluate_available(make_offspring(parents, rng, budget), problem, budget)
+        offspring = _evaluate_available(make_offspring(parents, rank, rng, budget),
+                                        problem, budget)
         if budget.used == used_before:
             raise ContractViolation(
                 "generation consumed no evaluations; the budget would never drain"
             )
         pool = parents.concat(offspring)
-        selected = nsga2_select(pool, n_pop)
+        selected, rank = _ranked_select(pool, n_pop)
         entry = {
             "generation": generation,
             "evaluations": budget.used,
@@ -326,7 +351,7 @@ def run_nsga2(problem: Problem, n_pop: int, evals: int, seed: int = 0,
     """NSGA-II with SBX + polynomial mutation."""
     return run_generational(
         problem, n_pop, evals,
-        lambda parents, rng, budget: sbx_pm_offspring(parents, rng, problem),
+        lambda parents, rank, rng, budget: sbx_pm_offspring(parents, rng, problem, rank),
         seed=seed, sink=sink, teacher_name="nsga2",
     )
 
@@ -336,7 +361,7 @@ def run_cso(problem: Problem, n_pop: int, evals: int, seed: int = 0,
     """Competitive-swarm teacher inside the same selection loop."""
     return run_generational(
         problem, n_pop, evals,
-        lambda parents, rng, budget: cso_step(parents, rng, problem),
+        lambda parents, rank, rng, budget: cso_step(parents, rng, problem, rank),
         seed=seed, sink=sink, teacher_name="cso",
     )
 
@@ -345,7 +370,7 @@ def run_random_search(problem: Problem, n_pop: int, evals: int, seed: int = 0) -
     """Uniform random offspring under NSGA-II selection; the sanity baseline."""
     return run_generational(
         problem, n_pop, evals,
-        lambda parents, rng, budget: random_offspring(parents, rng, problem),
+        lambda parents, rank, rng, budget: random_offspring(parents, rng, problem),
         seed=seed, teacher_name="random",
     )
 

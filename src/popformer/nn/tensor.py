@@ -217,12 +217,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """``x @ w + b`` over the last axis of ``x`` as one node, every leading
     row in one 2-d product; without ``b``, ``x @ w``.
 
-    A plain-array ``x`` returns ``x @ w + b`` at once, without the node's
-    set-up: inference makes about 17 one-row calls per decoded row, each
-    with a bias.
+    A plain-array ``x`` returns ``x @ w + b`` (or ``x @ w``) at once, without
+    the node's set-up: inference makes about 17 one-row calls per decoded
+    row, each with a bias.
     """
     if isinstance(x, np.ndarray):
-        return x @ w.data + b.data
+        return x @ w.data if b is None else x @ w.data + b.data
     if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear shape mismatch: {x.shape} @ {w.shape}")
     out = _affine(x.data, w.data, None if b is None else b.data)

@@ -244,7 +244,7 @@ def run_nsga2_model(problem: Problem, model: PopulationTransformer, n_pop: int,
 
     return run_generational(
         problem, n_pop, evals,
-        lambda parents, rng, budget: model.generate(parents, problem, budget, rng,
-                                                    n_offspring=n_pop),
+        lambda parents, rank, rng, budget: model.generate(parents, problem, budget, rng,
+                                                          n_offspring=n_pop),
         seed=seed, after_generation=after_generation,
     )

@@ -128,6 +128,19 @@ class TestPipelineCommands:
         assert (out_dir / "summary.json").exists()
         assert (out_dir / "table.txt").exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_benchmark_rejects_fewer_than_one_worker(self, tmp_path, capsys, workers):
+        cfg = {"problems": [{"name": "zdt1", "d": 8, "m": 2}], "arms": [{"kind": "random"}],
+               "n_pop": 8, "evals": 16, "n_seeds": 1, "reference_arm": "random"}
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "reports"
+        assert run_cli("benchmark", "--config", str(cfg_path), "--out", str(out_dir),
+                       "--workers", workers) == 1
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and f"workers must be >= 1, got {workers}" in err
+        assert not out_dir.exists()
+
     def test_optimize_rejects_corrupt_model(self, tmp_path, capsys):
         bad = tmp_path / "bad.petm"
         bad.write_bytes(b"JUNKJUNK")

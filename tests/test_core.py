@@ -36,6 +36,18 @@ class NanProblem(SquareProblem):
         return f
 
 
+def assert_same_frozen_population(got, want):
+    """``got`` holds read-only arrays equal to ``want``'s, NaN rows included."""
+    assert got.generation_index == want.generation_index
+    for a, b in ((got.x, want.x), (got.f, want.f), (got.cv, want.cv)):
+        if b is None:
+            assert a is None
+            continue
+        assert np.array_equal(a, b, equal_nan=True) and a.dtype == b.dtype
+        with pytest.raises(ValueError):
+            a[0] = 5.0
+
+
 class TestDominance:
     def test_strict_improvement_one_objective(self):
         assert dominates(sol([1, 2]), sol([1, 3]))
@@ -158,6 +170,23 @@ class TestEvaluate:
         b = evaluate(pop, prob, EvaluationBudget(10)).f
         assert np.array_equal(a, b)
 
+    def test_result_equals_a_validated_construction(self):
+        # evaluate builds its result unchecked from a checked population and
+        # checked evaluator output; it must match the validating constructor
+        prob = SquareProblem()
+        x = np.random.default_rng(6).random((6, 3))
+        f, cv = prob.evaluate_batch(x)
+        part_f, part_cv = f.copy(), cv.copy()
+        part_f[[1, 4]], part_cv[[1, 4]] = np.nan, np.nan
+        for pop in (Population(x, generation_index=3), Population(x, part_f, part_cv, 3)):
+            assert_same_frozen_population(evaluate(pop, prob, EvaluationBudget(10)),
+                                          Population(x, f, cv, 3))
+        # a budget for one of the two pending rows evaluates row 1 only
+        with pytest.raises(BudgetExhausted) as exc:
+            evaluate(Population(x, part_f, part_cv, 3), prob, EvaluationBudget(1))
+        part_f[1], part_cv[1] = f[1], cv[1]
+        assert_same_frozen_population(exc.value.population, Population(x, part_f, part_cv, 3))
+
     def test_nan_objective_is_hard_error_and_budget_released(self):
         prob = NanProblem()
         budget = EvaluationBudget(10)
@@ -274,14 +303,7 @@ class TestInvariants:
                                            np.concatenate([pop.cv, other.cv]), 2)),
         ]
         for got, want in cases:
-            assert got.generation_index == want.generation_index
-            for a, b in ((got.x, want.x), (got.f, want.f), (got.cv, want.cv)):
-                if b is None:
-                    assert a is None
-                    continue
-                assert np.array_equal(a, b) and a.dtype == b.dtype
-                with pytest.raises(ValueError):
-                    a[0] = 5.0
+            assert_same_frozen_population(got, want)
         with pytest.raises(ContractViolation):
             pop.concat(Population(other.x))
         with pytest.raises(ContractViolation):

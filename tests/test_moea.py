@@ -22,8 +22,17 @@ from popformer import (
     run_random_search,
     sbx_crossover,
 )
+from popformer import moea
+from popformer.core import Problem
 from popformer.errors import ContractViolation
-from popformer.moea import _dominance_matrix, _merit_order, run_generational, sbx_pm_offspring
+from popformer.moea import (
+    _dominance_matrix,
+    _merit_order,
+    _ranked_select,
+    random_offspring,
+    run_generational,
+    sbx_pm_offspring,
+)
 from popformer.selftest import brute_force_ranks
 
 
@@ -396,6 +405,76 @@ class TestMatchesPerFrontReference:
                               reference_rank_and_crowding(pop, rank)[1])
 
 
+@st.composite
+def pools_with_copies(draw):
+    """:func:`integer_populations` followed by repeats of some members, as
+    the competitive swarm's pass-through winners repeat their parents."""
+    pop = draw(integer_populations())
+    copies = draw(st.lists(st.integers(0, len(pop) - 1), max_size=len(pop)), label="copies")
+    return pop.concat(pop.take(copies)) if copies else pop
+
+
+class ConstrainedZdt1(Problem):
+    """zdt1 under x0 + x1 <= 1, which about half of a uniform sample breaks."""
+
+    def __init__(self, d):
+        self.base = make_problem("zdt1", d=d)
+        self.spec = self.base.spec
+
+    def objectives(self, x):
+        return self.base.objectives(x)
+
+    def constraints(self, x):
+        return x[:, :1] + x[:, 1:2] - 1.0
+
+
+class TestPassedRanks:
+    """The run loop hands each generation's selection ranks to the
+    tournament instead of sorting the parents again."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pools_with_copies())
+    def test_survivor_ranks_equal_a_fresh_sort(self, pool):
+        for n in range(1, len(pool) + 1):
+            selected, rank = _ranked_select(pool, n)
+            assert np.array_equal(selected, nsga2_select(pool, n))
+            parents = pool.take(selected)
+            assert np.array_equal(rank, fast_nondominated_sort(parents).rank)
+            assert np.array_equal(_merit_order(parents, rank), _merit_order(parents))
+
+    def test_ranks_of_another_length_rejected(self):
+        pop = make_pop([[1, 2], [2, 1], [2, 2]])
+        with pytest.raises(ContractViolation, match="2 ranks given for 3 members"):
+            _merit_order(pop, np.zeros(2, dtype=int))
+
+    @pytest.mark.parametrize("problem", [make_problem("zdt1", d=6), ConstrainedZdt1(6)],
+                             ids=["zdt1", "constrained"])
+    @pytest.mark.parametrize("run,operator", [
+        (run_nsga2, sbx_pm_offspring), (run_cso, cso_step),
+        (run_random_search, random_offspring)], ids=["nsga2", "cso", "random"])
+    def test_seeded_runs_equal_runs_that_sort_again(self, problem, run, operator):
+        for seed in (0, 5):
+            got = run(problem, 11, 120, seed=seed)
+            want = run_generational(
+                problem, 11, 120,
+                lambda parents, rank, rng, budget: operator(parents, rng, problem), seed=seed)
+            assert got.log == want.log
+            for a, b in ((got.population.x, want.population.x),
+                         (got.population.f, want.population.f),
+                         (got.population.cv, want.population.cv)):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("run", [run_nsga2, run_cso, run_random_search])
+    def test_one_sort_per_generation(self, monkeypatch, run):
+        calls = []
+        original = moea.fast_nondominated_sort
+        monkeypatch.setattr(moea, "fast_nondominated_sort",
+                            lambda pop, *args: calls.append(len(pop)) or original(pop, *args))
+        result = run(ConstrainedZdt1(6), 10, 60, seed=0)
+        # the initial population's selection, then one per generation
+        assert len(calls) == 1 + len(result.log)
+
+
 class TestVariation:
     LOWER = np.zeros(6)
     UPPER = np.ones(6)
@@ -618,7 +697,7 @@ class TestRunLoops:
     def test_generator_that_consumes_nothing_is_rejected(self):
         prob = make_problem("zdt1", d=6)
         with pytest.raises(ContractViolation, match="consumed no evaluations"):
-            run_generational(prob, 10, 100, lambda parents, rng, budget: parents)
+            run_generational(prob, 10, 100, lambda parents, rank, rng, budget: parents)
 
     def test_hook_entries_join_the_log(self):
         prob = make_problem("zdt1", d=6)
@@ -629,7 +708,8 @@ class TestRunLoops:
             return {"offspring": len(offspring)}
 
         result = run_generational(
-            prob, 10, 35, lambda parents, rng, budget: sbx_pm_offspring(parents, rng, prob),
+            prob, 10, 35,
+            lambda parents, rank, rng, budget: sbx_pm_offspring(parents, rng, prob, rank),
             after_generation=hook)
         assert seen == [(10, 10), (10, 10), (10, 5)]
         assert [e["offspring"] for e in result.log] == [10, 10, 5]

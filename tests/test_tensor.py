@@ -35,6 +35,7 @@ from popformer.nn import (
     uniform_linear,
 )
 from popformer.nn.layers import LinearParams, MlpParams
+from popformer.nn import tensor
 from popformer.nn.tensor import _emit
 from popformer.problems import make_problem
 from tape_oracle import composite_attention, composite_linear, mean_all
@@ -181,6 +182,17 @@ class TestPlainArrays:
             got = blocks(x)
         assert type(got) is np.ndarray and np.array_equal(got, want)
         assert len(tape) == 0
+
+    @pytest.mark.parametrize("plain", [True, False], ids=["array", "tensor"])
+    def test_products_with_and_without_bias(self, plain):
+        rng = np.random.default_rng(3)
+        x, w, b = rng.normal(size=(4, 3)), rng.normal(size=(3, 2)), rng.normal(size=2)
+        operand = x if plain else const(x)
+        for got, want in ((matmul(operand, const(w)), x @ w),
+                          (tensor.linear(operand, const(w)), x @ w),
+                          (tensor.linear(operand, const(w), const(b)), x @ w + b)):
+            assert type(got) is (np.ndarray if plain else Tensor)
+            assert np.array_equal(got if plain else got.data, want)
 
 
 class TestSoftmax:
