@@ -63,9 +63,12 @@ class TrajectoryPair:
     @classmethod
     def from_populations(cls, spec: ProblemSpec, x_g: Population, x_g1: Population,
                          teacher: str, seed: int, generation: int) -> "TrajectoryPair":
-        """Normalize two raw (bound-space) populations into a stored pair."""
+        """Normalize two raw (bound-space) feasible populations into a stored pair."""
         if not (x_g.all_evaluated and x_g1.all_evaluated):
             raise DataError("cannot build a pair from unevaluated populations")
+        if np.any(x_g.cv > 0) or np.any(x_g1.cv > 0):
+            raise DataError(f"{spec.name} pair at generation {generation} has infeasible "
+                            "members (cv > 0); stored pairs cannot hold violations")
         x_g, x_g1 = (Population(normalize_decision(p.x, spec), minmax_normalize_objectives(p.f),
                                 np.zeros(len(p)), p.generation_index) for p in (x_g, x_g1))
         return cls(problem_name=spec.name, d=spec.d, m=spec.m, teacher=teacher,

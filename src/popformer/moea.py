@@ -3,7 +3,7 @@ selection, SBX/polynomial-mutation variation, a competitive-swarm operator,
 and the one generational run loop that drives them and the learned arm.
 
 The run loop consumes the budget exactly: the trailing offspring batch may be
-partial, and every recorded generation is a post-selection parent population.
+partial, and every generation's parents are a post-selection population.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from .core import (
     evaluate,
     random_population,
 )
-from .dataset import TrajectoryPair
 from .errors import BudgetExhausted, ContractViolation
 
 
@@ -131,11 +130,14 @@ def _merit_order(pop: Population, rank: np.ndarray | None = None) -> np.ndarray:
     return np.lexsort((-crowding_distance(pop.f, rank), rank))
 
 
-def _ranked_select(pop: Population, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`nsga2_select`'s indices and the front ranks of the members
-    they pick.
+def nsga2_select(pop: Population, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Environmental selection: the indices of the ``n`` members kept, whole
+    fronts in rank order, the split front by descending crowding distance,
+    ties broken by lower member index; and the front ranks of those members.
 
-    Those ranks are the ones the survivors get when sorted on their own: they
+    The indices are ordered by (rank asc, crowding desc, index asc); that
+    canonical order doubles as the target ordering for sequence training.
+    The ranks are the ones the survivors get when sorted on their own: they
     hold whole fronts 1..k-1 and part of front k, and every member of a front
     j > 1 keeps a dominator from front j-1 (also under constrained dominance).
     """
@@ -145,17 +147,6 @@ def _ranked_select(pop: Population, n: int) -> tuple[np.ndarray, np.ndarray]:
     rank = fast_nondominated_sort(pop, n).rank
     selected = _merit_order(pop, rank)[:n]
     return selected, rank[selected]
-
-
-def nsga2_select(pop: Population, n: int) -> np.ndarray:
-    """Environmental selection: the indices of the ``n`` members kept, whole
-    fronts in rank order, the split front by descending crowding distance,
-    ties broken by lower member index.
-
-    The indices are ordered by (rank asc, crowding desc, index asc); that
-    canonical order doubles as the target ordering for sequence training.
-    """
-    return _ranked_select(pop, n)[0]
 
 
 def sbx_crossover(a: np.ndarray, b: np.ndarray, draws: np.ndarray,
@@ -285,8 +276,7 @@ def _evaluate_available(pop: Population, problem: Problem,
 
 
 def run_generational(problem: Problem, n_pop: int, evals: int, make_offspring,
-                     seed: int = 0, sink: list[TrajectoryPair] | None = None,
-                     teacher_name: str = "custom", after_generation=None) -> RunResult:
+                     seed: int = 0, after_generation=None) -> RunResult:
     """The select-vary-evaluate loop every run goes through, with exact budget
     accounting.
 
@@ -296,14 +286,13 @@ def run_generational(problem: Problem, n_pop: int, evals: int, make_offspring,
     members; the loop evaluates what is left, budget permitting. A generation
     that consumes no evaluations is a contract violation, since the budget
     would never drain. Each generation's environmental selection over
-    parents and offspring is made once, with one non-dominated sort, and
-    gives the next parents and their ranks (and, after the last generation,
-    the final population). ``after_generation(parents, offspring,
-    selected) -> dict``, when given, receives that selection's
-    indices into the parents followed by the offspring; its entries join the
-    generation's log entry. Each loop iteration records its post-selection
-    parents; consecutive recorded parents become trajectory pairs appended to
-    ``sink``.
+    parents and offspring is one :func:`nsga2_select`, and gives the next
+    parents and their ranks (and, after the last generation, the final
+    population). ``after_generation(parents, offspring, selected) -> dict``,
+    when given, is the loop's one hook: it receives that selection's indices
+    into the parents followed by the offspring, and its entries join the
+    generation's log entry. The parents of generation g carry
+    ``generation_index`` g.
     """
     if n_pop < 2:
         raise ContractViolation("population size must be at least 2")
@@ -312,18 +301,11 @@ def run_generational(problem: Problem, n_pop: int, evals: int, make_offspring,
     budget = EvaluationBudget(evals)
     rng = np.random.default_rng(seed)
     pool = evaluate(random_population(problem, n_pop, rng), problem, budget)
-    selected, rank = _ranked_select(pool, n_pop)
+    selected, rank = nsga2_select(pool, n_pop)
     log: list[dict] = []
-    prev_parents: Population | None = None
     generation = 0
     while budget.remaining > 0:
         parents = pool.take(selected, generation)
-        if sink is not None and prev_parents is not None:
-            sink.append(TrajectoryPair.from_populations(
-                problem.spec, prev_parents, parents,
-                teacher=teacher_name, seed=seed, generation=generation - 1,
-            ))
-        prev_parents = parents
         used_before = budget.used
         offspring = _evaluate_available(make_offspring(parents, rank, rng, budget),
                                         problem, budget)
@@ -332,7 +314,7 @@ def run_generational(problem: Problem, n_pop: int, evals: int, make_offspring,
                 "generation consumed no evaluations; the budget would never drain"
             )
         pool = parents.concat(offspring)
-        selected, rank = _ranked_select(pool, n_pop)
+        selected, rank = nsga2_select(pool, n_pop)
         entry = {
             "generation": generation,
             "evaluations": budget.used,
@@ -347,22 +329,22 @@ def run_generational(problem: Problem, n_pop: int, evals: int, make_offspring,
 
 
 def run_nsga2(problem: Problem, n_pop: int, evals: int, seed: int = 0,
-              sink: list[TrajectoryPair] | None = None) -> RunResult:
+              after_generation=None) -> RunResult:
     """NSGA-II with SBX + polynomial mutation."""
     return run_generational(
         problem, n_pop, evals,
         lambda parents, rank, rng, budget: sbx_pm_offspring(parents, rng, problem, rank),
-        seed=seed, sink=sink, teacher_name="nsga2",
+        seed=seed, after_generation=after_generation,
     )
 
 
 def run_cso(problem: Problem, n_pop: int, evals: int, seed: int = 0,
-            sink: list[TrajectoryPair] | None = None) -> RunResult:
+            after_generation=None) -> RunResult:
     """Competitive-swarm teacher inside the same selection loop."""
     return run_generational(
         problem, n_pop, evals,
         lambda parents, rank, rng, budget: cso_step(parents, rng, problem, rank),
-        seed=seed, sink=sink, teacher_name="cso",
+        seed=seed, after_generation=after_generation,
     )
 
 
@@ -371,7 +353,7 @@ def run_random_search(problem: Problem, n_pop: int, evals: int, seed: int = 0) -
     return run_generational(
         problem, n_pop, evals,
         lambda parents, rank, rng, budget: random_offspring(parents, rng, problem),
-        seed=seed, teacher_name="random",
+        seed=seed,
     )
 
 

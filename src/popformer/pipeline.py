@@ -68,10 +68,14 @@ def collect_trajectories(problems: list[Problem], teachers: list[str], seeds: li
                          n_pop: int, evals: int) -> TrajectoryDataset:
     """Run every (problem, teacher, seed) cell and gather its generation pairs.
 
-    Sizes no cell could run with raise ConfigError before any cell runs; a
-    cell that fails otherwise is logged and skipped, and collection
-    continues. Cells run in sorted key order, so identical inputs give
-    byte-identical datasets.
+    The teacher's run loop hands each generation's parents to a recording
+    hook, and consecutive parents pair up: generation g's parents with the
+    selection that follows them. The run's final selection is never a
+    target, so a run of G generations gives G - 1 pairs. Sizes no cell could
+    run with raise ConfigError before any cell runs; a cell that fails
+    otherwise, an infeasible member included, is logged and skipped, and
+    collection continues. Cells run in sorted key order, so identical
+    inputs give byte-identical datasets.
     """
     if n_pop < 2:
         raise ConfigError(f"population size must be >= 2, got {n_pop}")
@@ -89,9 +93,13 @@ def collect_trajectories(problems: list[Problem], teachers: list[str], seeds: li
         key=lambda c: (c[0].spec.name, c[0].spec.d, c[0].spec.m, c[1], c[2]),
     )
     for problem, teacher, seed in cells:
-        pairs: list[TrajectoryPair] = []
+        generations: list[Population] = []  # each generation's parents, in order
         try:
-            TEACHERS[teacher](problem, n_pop, evals, seed=seed, sink=pairs)
+            TEACHERS[teacher](problem, n_pop, evals, seed=seed,
+                              after_generation=lambda x_g, *_: generations.append(x_g) or {})
+            pairs = [TrajectoryPair.from_populations(problem.spec, x_g, x_g1, teacher, seed,
+                                                     x_g.generation_index)
+                     for x_g, x_g1 in zip(generations, generations[1:])]
         except Exception:
             log.exception("collection cell failed: %s/%s/seed=%s; skipping",
                           problem.spec.name, teacher, seed)

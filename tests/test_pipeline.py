@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from popformer import moea
 from popformer.errors import CapacityError, ConfigError, DataError
 from popformer.moea import nsga2_select
 from popformer.nn import Adam
+from test_moea import ConstrainedZdt1
 
 TOY = ModelConfig(d_hat=16, m_hat=4, width=16, layers=2, heads=2, max_seq=12)
 
@@ -44,7 +46,7 @@ def evaluated_pop(problem, n, seed=0, gen=0):
 
 def select(x_g, x_g1):
     """nsga2_select over parents u offspring at the parent size."""
-    return nsga2_select(x_g.concat(x_g1), len(x_g))
+    return nsga2_select(x_g.concat(x_g1), len(x_g))[0]
 
 
 def online_update(model, x_g, x_g1, problem, selected):
@@ -114,8 +116,42 @@ class TestCollect:
         assert {p.problem_name for p in ds.pairs} == {"zdt1"}
         assert len(ds.pairs) == 4
 
+    def test_infeasible_cell_logged_and_skipped(self, caplog):
+        good = make_problem("zdt1", d=8)
+        with caplog.at_level(logging.ERROR, logger=pipeline.__name__):
+            ds = collect_trajectories([ConstrainedZdt1(6), good], ["nsga2"], [0], n_pop=10,
+                                      evals=60)
+        assert {p.d for p in ds.pairs} == {8} and len(ds.pairs) == 4
+        assert "zdt1/nsga2/seed=0; skipping" in caplog.text
+        assert "zdt1 pair at generation 0 has infeasible members" in caplog.text
+
+    def test_pairs_equal_teacher_runs_cut_at_each_generation(self):
+        # a run with budget N + k*e ends at generation k's parents, where e is
+        # the evaluations per generation: N for NSGA-II, the N/2 losers for CSO
+        problem, n, evals, seed = make_problem("zdt1", d=8), 10, 120, 3
+        for teacher, per_generation in (("nsga2", n), ("cso", n // 2)):
+            generations = (evals - n) // per_generation
+            cut = [moea.TEACHERS[teacher](problem, n, n + k * per_generation, seed=seed).population
+                   for k in range(generations)]
+            want = [TrajectoryPair.from_populations(problem.spec, x_g, x_g1, teacher, seed, k)
+                    for k, (x_g, x_g1) in enumerate(zip(cut, cut[1:]))]
+            got = collect_trajectories([problem], [teacher], [seed], n, evals).pairs
+            assert len(got) == generations - 1
+            for a, b in zip(got, want):
+                assert (a.teacher, a.seed, a.generation) == (b.teacher, b.seed, b.generation)
+                for pa, pb in ((a.x_g, b.x_g), (a.x_g1, b.x_g1)):
+                    assert pa.x.tobytes() == pb.x.tobytes() and pa.f.tobytes() == pb.f.tobytes()
+                assert a.x_g1.generation_index == a.generation + 1
+
 
 class TestDataset:
+    def test_infeasible_population_rejected(self):
+        problem = ConstrainedZdt1(8)
+        pop = evaluated_pop(problem, 10)
+        assert np.any(pop.cv > 0)
+        with pytest.raises(DataError, match="zdt1 pair at generation 4 has infeasible members"):
+            TrajectoryPair.from_populations(problem.spec, pop, pop, "t", 0, 4)
+
     def test_round_trip_byte_identical(self, tmp_path):
         _, pairs = shift_pairs(5)
         ds = TrajectoryDataset(pairs=pairs)
