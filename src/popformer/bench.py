@@ -53,8 +53,8 @@ class ArmSpec:
     kind: str
     label: str | None = None
     model: str | None = None
-    lr: float = 1e-4
-    steps_per_generation: int = 1
+    lr: float = FinetuneConfig.lr
+    steps_per_generation: int = FinetuneConfig.steps_per_generation
 
     def __post_init__(self):
         if self.kind not in ARM_KINDS:

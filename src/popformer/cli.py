@@ -51,10 +51,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("pretrain", help="train a model on a recorded dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--config", default=None, help="model config JSON file")
-    p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--steps", type=int, default=PretrainConfig.steps)
+    p.add_argument("--batch", type=int, default=PretrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=PretrainConfig.lr)
+    p.add_argument("--seed", type=int, default=PretrainConfig.seed)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("optimize", help="run NSGA-II with a model generating offspring")

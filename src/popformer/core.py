@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BudgetExhausted, ConfigError, ContractViolation, EvaluationError,
-                     UnsupportedFront)
+from .errors import ConfigError, ContractViolation, EvaluationError, UnsupportedFront
 
 
 def require_ints(obj, *names: str) -> None:
@@ -20,6 +19,14 @@ def require_ints(obj, *names: str) -> None:
         value = getattr(obj, name)
         if type(value) is not int:  # a bool, a float or a string is not a count
             raise ConfigError(f"{name} must be an int, got {value!r}")
+
+
+def require_count(value, name: str) -> int:
+    """``value`` as an int when it is a positive int or numpy integer, else
+    a ContractViolation naming it; a bool or a float is not a count."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+        raise ContractViolation(f"{name} must be a positive int, got {value!r}")
+    return int(value)
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -256,10 +263,7 @@ class EvaluationBudget:
     """Thread-safe evaluation counter with atomic reserve/release semantics."""
 
     def __init__(self, total: int):
-        total = int(total)
-        if total < 1:
-            raise ContractViolation(f"budget total must be positive, got {total}")
-        self._total = total
+        self._total = require_count(total, "budget total")
         self._used = 0
         self._lock = threading.Lock()
 
@@ -301,20 +305,14 @@ def evaluate(pop: Population, problem: Problem, budget: EvaluationBudget) -> Pop
     as one block of rows.
 
     Already evaluated members consume nothing. A block that raises charges
-    nothing: the whole grant returns to the budget. When the budget covers only a
-    prefix of the pending members, that prefix is evaluated and a
-    :class:`BudgetExhausted` is raised carrying the partial population; when it
-    covers none, the signal carries ``pop`` unchanged.
+    nothing: the whole grant returns to the budget. When the budget covers only
+    a prefix of the pending members, or none, that prefix is evaluated and the
+    members past it stay pending in the returned population.
     """
     pending = np.flatnonzero(~pop.evaluated)
-    if not len(pending):
-        return pop
     grant = budget.reserve(len(pending))
     if grant == 0:
-        raise BudgetExhausted(
-            f"budget exhausted: {len(pending)} evaluations requested, none available",
-            population=pop,
-        )
+        return pop
     f = np.full((len(pop), problem.spec.m), np.nan) if pop.f is None else pop.f.copy()
     cv = np.full(len(pop), np.nan) if pop.cv is None else pop.cv.copy()
     rows = pending[:grant]
@@ -324,13 +322,7 @@ def evaluate(pop: Population, problem: Problem, budget: EvaluationBudget) -> Pop
         budget.release(grant)
         raise
     # x was checked with pop, and _scored has just checked the new f and cv rows
-    result = Population._derived(pop.x, f, cv, pop.generation_index)
-    if grant < len(pending):
-        raise BudgetExhausted(
-            f"budget exhausted after {grant} of {len(pending)} pending evaluations",
-            population=result,
-        )
-    return result
+    return Population._derived(pop.x, f, cv, pop.generation_index)
 
 
 def random_population(problem: Problem, n: int, rng: np.random.Generator,

@@ -25,18 +25,6 @@ class EvaluationError(RuntimeError):
     """A problem evaluation produced a non-finite objective or constraint value."""
 
 
-class BudgetExhausted(RuntimeError):
-    """An evaluation budget could not cover a requested evaluation.
-
-    ``population`` carries the population as far as the budget covered its
-    evaluation, so callers can keep the work already paid for.
-    """
-
-    def __init__(self, message: str, population=None):
-        super().__init__(message)
-        self.population = population
-
-
 class UnsupportedFront(ValueError):
     """The problem has no analytically known reference front."""
 

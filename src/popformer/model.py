@@ -42,11 +42,11 @@ from .core import (
     ProblemSpec,
     denormalize_decision,
     normalize_decision,
+    require_count,
     require_ints,
 )
 from .dataset import minmax_normalize_objectives, objective_frame
 from .errors import (
-    BudgetExhausted,
     CapacityError,
     CheckpointError,
     ConfigError,
@@ -391,7 +391,8 @@ class PopulationTransformer:
         The context is seeded with one uniform-random evaluated solution that
         both consumes budget and counts as the first offspring; decoding then
         alternates propose / evaluate / append until the target size or the
-        budget runs out, so a short population means the budget ran out.
+        budget runs out, so a short population, possibly an empty one, means
+        the budget ran out. ``n_offspring`` defaults to ``len(parents)``.
 
         Each step embeds, decodes and heads only the newest member, as one
         row: a :class:`DecoderCache` carries every earlier row's
@@ -406,9 +407,10 @@ class PopulationTransformer:
         """
         if not parents.all_evaluated:
             raise DataError("generation requires evaluated parents")
+        n_target = (len(parents) if n_offspring is None
+                    else require_count(n_offspring, "n_offspring"))
         spec = problem.spec
         generation = parents.generation_index + 1
-        n_target = n_offspring or len(parents)
         if n_target > self.config.max_seq:
             raise CapacityError(f"{n_target} offspring exceed model capacity "
                                 f"{self.config.max_seq}")
@@ -421,12 +423,7 @@ class PopulationTransformer:
                 z = self.embed_next(x[size - 1], f[size - 1], spec, cache)
                 x[size] = self._decision(self.decode_next(z, cache), spec, generation, size)
             if budget.reserve(1) == 0:
-                if size:
-                    break
-                raise BudgetExhausted(
-                    "no budget for the initialization token",
-                    population=Population(x[:0], generation_index=generation),
-                )
+                break
             try:
                 f[size], cv[size] = problem.evaluate_solution(x[size])
             except Exception:

@@ -18,7 +18,7 @@ from .core import (
     evaluate,
     random_population,
 )
-from .errors import BudgetExhausted, ContractViolation
+from .errors import ContractViolation
 
 
 @dataclass(frozen=True)
@@ -118,13 +118,11 @@ def crowding_distance(objs: np.ndarray, rank: np.ndarray | None = None) -> np.nd
     return scores
 
 
-def _merit_order(pop: Population, rank: np.ndarray | None = None) -> np.ndarray:
+def _merit_order(pop: Population, rank: np.ndarray) -> np.ndarray:
     """Member indices ordered by (rank asc, crowding desc, index asc), with
-    crowding scored within each front. ``rank`` gives the members' front
-    ranks when they are known, and the sort is skipped."""
-    if rank is None:
-        rank = fast_nondominated_sort(pop).rank
-    elif len(rank) != len(pop):
+    crowding scored within each front; ``rank`` gives the members' front
+    ranks."""
+    if len(rank) != len(pop):
         raise ContractViolation(f"{len(rank)} ranks given for {len(pop)} members")
     # lexsort is stable, so equal keys stay in index order
     return np.lexsort((-crowding_distance(pop.f, rank), rank))
@@ -200,12 +198,11 @@ def polynomial_mutation(x: np.ndarray, draws: np.ndarray, lower: np.ndarray,
 
 
 def sbx_pm_offspring(parents: Population, rng: np.random.Generator, problem: Problem,
-                     rank: np.ndarray | None = None) -> Population:
+                     rank: np.ndarray) -> Population:
     """Standard NSGA-II variation: tournament mating, SBX, then mutation.
 
-    The tournament reads the parents' front ranks from ``rank`` when given
-    (the run loop passes the ones its selection assigned) and sorts the
-    parents otherwise; crowding is scored on the parents either way.
+    The tournament reads the parents' front ranks from ``rank``, the ones
+    the run loop's selection assigned, and scores crowding on the parents.
     Consecutive picks pair up. Each pair draws one row of 1 + 7d uniforms,
     its SBX variates followed by each child's mutation variates; an odd last
     pick is only mutated, with 2d more draws.
@@ -231,11 +228,11 @@ def sbx_pm_offspring(parents: Population, rng: np.random.Generator, problem: Pro
 
 
 def cso_step(pop: Population, rng: np.random.Generator, problem: Problem,
-             rank: np.ndarray | None = None) -> Population:
+             rank: np.ndarray) -> Population:
     """Competitive-swarm update: random pairing, each loser moves a random
     fraction toward its winner; winners (and any odd leftover) pass through
     with their evaluations intact, losers come back unevaluated. Front ranks
-    come from ``rank`` when given, as in :func:`sbx_pm_offspring`."""
+    come from ``rank``, as in :func:`sbx_pm_offspring`."""
     if not pop.all_evaluated:
         raise ContractViolation("competitive-swarm step requires an evaluated population")
     spec = problem.spec
@@ -265,16 +262,6 @@ class RunResult:
     evaluations: int
 
 
-def _evaluate_available(pop: Population, problem: Problem,
-                        budget: EvaluationBudget) -> Population:
-    """Evaluate what the budget allows of ``pop``; keep its evaluated members."""
-    try:
-        return evaluate(pop, problem, budget)
-    except BudgetExhausted as exc:
-        partial = exc.population if exc.population is not None else pop
-        return partial.take(np.flatnonzero(partial.evaluated))
-
-
 def run_generational(problem: Problem, n_pop: int, evals: int, make_offspring,
                      seed: int = 0, after_generation=None) -> RunResult:
     """The select-vary-evaluate loop every run goes through, with exact budget
@@ -283,7 +270,8 @@ def run_generational(problem: Problem, n_pop: int, evals: int, make_offspring,
     ``make_offspring(parents, rank, rng, budget) -> Population`` receives
     the parents' front ranks from their selection. It may evaluate members
     itself within the budget and may return a mix of evaluated and unevaluated
-    members; the loop evaluates what is left, budget permitting. A generation
+    members; the loop evaluates what is left, budget permitting, and keeps
+    only the evaluated members when the budget ends first. A generation
     that consumes no evaluations is a contract violation, since the budget
     would never drain. Each generation's environmental selection over
     parents and offspring is one :func:`nsga2_select`, and gives the next
@@ -307,12 +295,13 @@ def run_generational(problem: Problem, n_pop: int, evals: int, make_offspring,
     while budget.remaining > 0:
         parents = pool.take(selected, generation)
         used_before = budget.used
-        offspring = _evaluate_available(make_offspring(parents, rank, rng, budget),
-                                        problem, budget)
+        offspring = evaluate(make_offspring(parents, rank, rng, budget), problem, budget)
         if budget.used == used_before:
             raise ContractViolation(
                 "generation consumed no evaluations; the budget would never drain"
             )
+        if not offspring.all_evaluated:  # the budget ended inside this generation
+            offspring = offspring.take(np.flatnonzero(offspring.evaluated))
         pool = parents.concat(offspring)
         selected, rank = nsga2_select(pool, n_pop)
         entry = {

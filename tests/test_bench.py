@@ -21,6 +21,7 @@ from popformer.bench import (
 )
 from popformer.cli import main
 from popformer.errors import ConfigError
+from popformer.pipeline import FinetuneConfig
 
 TINY = ExperimentConfig(
     problems=(ProblemCase("zdt1", d=8),),
@@ -136,6 +137,9 @@ class TestRunBenchmark:
                              arms=(ArmSpec("nsga2"),), reference_arm="missing")
         with pytest.raises(ConfigError):
             ArmSpec("unknown-kind")
+
+    def test_arm_defaults_are_the_finetune_defaults(self):
+        assert ArmSpec("learned").finetune_config() == FinetuneConfig()
 
     GOOD = {"problems": [{"name": "zdt1", "d": 8}], "arms": [{"kind": "nsga2"}],
             "n_pop": 8, "evals": 16, "n_seeds": 1, "reference_arm": "nsga2"}

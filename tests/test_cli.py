@@ -6,6 +6,7 @@ import pytest
 from popformer import cli
 from popformer.cli import main
 from popformer.model import ModelConfig, PopulationTransformer, save_checkpoint
+from popformer.pipeline import PretrainConfig
 
 TOY_CONFIG = {"d_hat": 16, "m_hat": 4, "width": 16, "layers": 2, "heads": 2, "max_seq": 12}
 
@@ -80,6 +81,11 @@ class TestMallocSetUp:
 
 
 class TestPipelineCommands:
+    def test_pretrain_defaults_are_the_config_defaults(self):
+        args = cli._build_parser().parse_args(["pretrain", "--data", "d", "--out", "o"])
+        assert PretrainConfig(steps=args.steps, batch_size=args.batch, lr=args.lr,
+                              seed=args.seed) == PretrainConfig()
+
     def test_collect_pretrain_optimize_chain(self, tmp_path, capsys):
         data = tmp_path / "data.jsonl"
         code = run_cli("collect", "--problems", "zdt1,zdt2", "--teachers", "nsga2",

@@ -2,6 +2,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from popformer import (
     EvaluationBudget,
@@ -14,7 +16,7 @@ from popformer import (
     random_population,
 )
 from popformer.core import Problem, ProblemSpec, aggregate_violation
-from popformer.errors import BudgetExhausted, ContractViolation, EvaluationError
+from popformer.errors import ContractViolation, EvaluationError
 
 
 def sol(f):
@@ -132,9 +134,7 @@ class TestEvaluate:
         budget = EvaluationBudget(1000)
         budget.reserve(950)
         pop = random_population(prob, 100, np.random.default_rng(0))
-        with pytest.raises(BudgetExhausted) as exc:
-            evaluate(pop, prob, budget)
-        partial = exc.value.population
+        partial = evaluate(pop, prob, budget)
         assert partial.evaluated.sum() == 50
         assert list(partial.evaluated) == [True] * 50 + [False] * 50
         assert budget.used == 1000
@@ -144,9 +144,7 @@ class TestEvaluate:
         budget = EvaluationBudget(10)
         budget.reserve(10)
         pop = random_population(prob, 5, np.random.default_rng(0))
-        with pytest.raises(BudgetExhausted) as exc:
-            evaluate(pop, prob, budget)
-        assert exc.value.population.evaluated.sum() == 0
+        assert evaluate(pop, prob, budget) is pop
         assert budget.used == 10
 
     def test_empty_population_is_noop(self):
@@ -182,10 +180,9 @@ class TestEvaluate:
             assert_same_frozen_population(evaluate(pop, prob, EvaluationBudget(10)),
                                           Population(x, f, cv, 3))
         # a budget for one of the two pending rows evaluates row 1 only
-        with pytest.raises(BudgetExhausted) as exc:
-            evaluate(Population(x, part_f, part_cv, 3), prob, EvaluationBudget(1))
+        partial = evaluate(Population(x, part_f, part_cv, 3), prob, EvaluationBudget(1))
         part_f[1], part_cv[1] = f[1], cv[1]
-        assert_same_frozen_population(exc.value.population, Population(x, part_f, part_cv, 3))
+        assert_same_frozen_population(partial, Population(x, part_f, part_cv, 3))
 
     def test_nan_objective_is_hard_error_and_budget_released(self):
         prob = NanProblem()
@@ -213,6 +210,30 @@ class TestEvaluate:
         with pytest.raises(RuntimeError, match="evaluator crashed"):
             evaluate(Population(xs), RaisesOnMarkedRow(), budget)
         assert budget.used == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(evaluated=st.lists(st.booleans(), max_size=12), total=st.integers(1, 15),
+           spent=st.integers(0, 15), seed=st.integers(0, 2**32 - 1))
+    def test_budget_funds_the_first_pending_rows(self, evaluated, total, spent, seed):
+        # evaluated and pending rows interleave, as a competitive-swarm step returns them
+        prob = SquareProblem()
+        x = np.random.default_rng(seed).random((len(evaluated), 3))
+        f, cv = np.full((len(x), 2), np.nan), np.full(len(x), np.nan)
+        done = np.flatnonzero(evaluated)
+        f[done], cv[done] = prob.evaluate_batch(x[done])
+        pop = Population(x, f, cv)
+        budget = EvaluationBudget(total)
+        budget.reserve(spent)
+        used = budget.used
+        out = evaluate(pop, prob, budget)
+        pending = np.flatnonzero(~np.array(evaluated, dtype=bool))
+        funded = pending[:min(total - used, len(pending))]
+        assert budget.used == used + len(funded)
+        assert np.array_equal(np.flatnonzero(out.evaluated & ~pop.evaluated), funded)
+        want_f, want_cv = prob.evaluate_batch(x[funded])
+        assert np.array_equal(out.f[funded], want_f) and np.array_equal(out.cv[funded], want_cv)
+        assert np.array_equal(out.f[done], f[done]) and np.array_equal(out.cv[done], cv[done])
+        assert np.array_equal(out.x, x)
 
     def test_out_of_bounds_row_named(self):
         xs = np.full((4, 3), 0.5)
@@ -259,6 +280,15 @@ class TestBudget:
         for t in threads:
             t.join()
         assert sum(granted) == budget.used <= budget.total
+
+    @pytest.mark.parametrize("total", [0, -3, 10.7, 0.5, True, "5"])
+    def test_non_count_total_rejected_by_value(self, total):
+        with pytest.raises(ContractViolation, match=f"got {total!r}"):
+            EvaluationBudget(total)
+
+    def test_numpy_int_total_accepted(self):
+        budget = EvaluationBudget(np.int64(5))
+        assert budget.total == 5 and type(budget.total) is int
 
     def test_invalid_operations_rejected(self):
         with pytest.raises(ContractViolation):

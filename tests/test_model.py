@@ -17,10 +17,10 @@ from popformer import (
     random_population,
 )
 from popformer.errors import (
-    BudgetExhausted,
     CapacityError,
     CheckpointError,
     ConfigError,
+    ContractViolation,
     DataError,
     ModelOutputError,
 )
@@ -228,10 +228,25 @@ class TestGenerate:
     def test_zero_budget_signal(self):
         budget = EvaluationBudget(10)
         budget.reserve(10)
-        with pytest.raises(BudgetExhausted) as exc:
+        result = self.model.generate(self.parents, self.problem, budget,
+                                     np.random.default_rng(0), n_offspring=8)
+        assert len(result) == 0 and result.generation_index == 1
+        assert budget.used == 10
+
+    @pytest.mark.parametrize("n_offspring", [0, -3, 2.5, True])
+    def test_non_count_offspring_size_rejected_by_value(self, n_offspring):
+        budget = EvaluationBudget(100)
+        with pytest.raises(ContractViolation, match=f"n_offspring .* got {n_offspring!r}"):
             self.model.generate(self.parents, self.problem, budget,
-                                np.random.default_rng(0), n_offspring=8)
-        assert len(exc.value.population) == 0
+                                np.random.default_rng(0), n_offspring=n_offspring)
+        assert budget.used == 0
+
+    @pytest.mark.parametrize("n_offspring,size", [(None, 8), (np.int64(5), 5)])
+    def test_offspring_size_default_and_numpy_int(self, n_offspring, size):
+        budget = EvaluationBudget(100)
+        result = self.model.generate(self.parents, self.problem, budget,
+                                     np.random.default_rng(0), n_offspring=n_offspring)
+        assert len(result) == size and budget.used == size
 
     def test_more_offspring_than_capacity_rejected(self):
         budget = EvaluationBudget(100)

@@ -374,7 +374,8 @@ class TestMatchesPerFrontReference:
     @given(integer_populations())
     def test_selection_index_for_index(self, pop):
         want = reference_merit_order(pop)
-        assert np.array_equal(np.argsort(_merit_order(pop)), np.argsort(want))
+        got = _merit_order(pop, fast_nondominated_sort(pop).rank)
+        assert np.array_equal(np.argsort(got), np.argsort(want))
         for n in range(len(pop) + 1):
             assert np.array_equal(nsga2_select(pop, n)[0], want[:n])
 
@@ -447,13 +448,16 @@ class TestPassedRanks:
                              ids=["zdt1", "constrained"])
     @pytest.mark.parametrize("run,operator", [
         (run_nsga2, sbx_pm_offspring), (run_cso, cso_step),
-        (run_random_search, random_offspring)], ids=["nsga2", "cso", "random"])
+        (run_random_search, None)], ids=["nsga2", "cso", "random"])
     def test_seeded_runs_equal_runs_that_sort_again(self, problem, run, operator):
+        def resorted(parents, rank, rng, budget):
+            if operator is None:
+                return random_offspring(parents, rng, problem)
+            return operator(parents, rng, problem, fast_nondominated_sort(parents).rank)
+
         for seed in (0, 5):
             got = run(problem, 11, 120, seed=seed)
-            want = run_generational(
-                problem, 11, 120,
-                lambda parents, rank, rng, budget: operator(parents, rng, problem), seed=seed)
+            want = run_generational(problem, 11, 120, resorted, seed=seed)
             assert got.log == want.log
             for a, b in ((got.population.x, want.population.x),
                          (got.population.f, want.population.f),
@@ -553,7 +557,7 @@ class TestVariation:
         rng = np.random.default_rng(seed)
         parents = evaluated(prob, rng.uniform(prob.spec.lower, prob.spec.upper, (n, d)))
         ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        got = sbx_pm_offspring(parents, ours, prob).x
+        got = sbx_pm_offspring(parents, ours, prob, fast_nondominated_sort(parents).rank).x
         want = reference_sbx_pm_offspring(parents, theirs, prob)
         span = prob.spec.upper - prob.spec.lower
         # numpy's array power and Python's scalar pow may differ in the last bit
@@ -565,22 +569,23 @@ class TestCso:
     def test_identical_population_unchanged(self):
         prob = make_problem("zdt1", d=6)
         pop = evaluated(prob, np.full((6, 6), 0.5))
-        out = cso_step(pop, np.random.default_rng(0), prob)
+        out = cso_step(pop, np.random.default_rng(0), prob, fast_nondominated_sort(pop).rank)
         assert np.array_equal(out.x, pop.x)
 
     def test_reproducible(self):
         prob = make_problem("zdt1", d=6)
         rng = np.random.default_rng(1)
         pop = evaluated(prob, rng.random((8, 6)))
-        a = cso_step(pop, np.random.default_rng(2), prob).x
-        b = cso_step(pop, np.random.default_rng(2), prob).x
+        rank = fast_nondominated_sort(pop).rank
+        a = cso_step(pop, np.random.default_rng(2), prob, rank).x
+        b = cso_step(pop, np.random.default_rng(2), prob, rank).x
         assert np.array_equal(a, b)
 
     def test_winners_keep_evaluations_losers_reset(self):
         prob = make_problem("zdt1", d=6)
         rng = np.random.default_rng(3)
         pop = evaluated(prob, rng.random((8, 6)))
-        out = cso_step(pop, np.random.default_rng(4), prob)
+        out = cso_step(pop, np.random.default_rng(4), prob, fast_nondominated_sort(pop).rank)
         n_eval = out.evaluated.sum()
         assert n_eval == 4  # half the pairs win
 
@@ -588,7 +593,7 @@ class TestCso:
         prob = make_problem("zdt1", d=6)
         rng = np.random.default_rng(5)
         pop = evaluated(prob, rng.random((5, 6)))
-        out = cso_step(pop, np.random.default_rng(6), prob)
+        out = cso_step(pop, np.random.default_rng(6), prob, fast_nondominated_sort(pop).rank)
         assert out.evaluated.sum() == 3  # 2 winners + 1 leftover
 
     def test_improves_zdt1_over_fifty_generations(self):
@@ -644,8 +649,9 @@ class TestRunLoops:
         prob = make_problem("zdt4", d=6)  # asymmetric bounds
         rng = np.random.default_rng(2)
         pop = evaluated(prob, rng.uniform(prob.spec.lower, prob.spec.upper, (10, 6)))
+        rank = fast_nondominated_sort(pop).rank
         for seed in range(5):
-            off = sbx_pm_offspring(pop, np.random.default_rng(seed), prob)
+            off = sbx_pm_offspring(pop, np.random.default_rng(seed), prob, rank)
             xs = off.x
             assert np.all(xs >= prob.spec.lower) and np.all(xs <= prob.spec.upper)
 
@@ -697,6 +703,32 @@ class TestRunLoops:
         assert seen == [(10, 10), (10, 10), (10, 5)]
         assert [e["offspring"] for e in result.log] == [10, 10, 5]
         assert result.log[-1]["partial"] is True
+
+    def test_cut_swarm_generation_keeps_winners_and_the_funded_losers(self):
+        # N=10, E=17: each swarm step passes 5 winners through and moves 5
+        # losers; the second step's budget covers its first 2 losers only
+        prob = make_problem("zdt1", d=6)
+        steps, seen = [], []
+
+        def operator(parents, rank, rng, budget):
+            steps.append(cso_step(parents, rng, prob, rank))
+            return steps[-1]
+
+        def hook(parents, offspring, selected):
+            seen.append(offspring)
+            return {}
+
+        result = run_generational(prob, 10, 17, operator, after_generation=hook)
+        step, offspring = steps[-1], seen[-1]
+        winners, losers = np.flatnonzero(step.evaluated), np.flatnonzero(~step.evaluated)
+        kept = np.sort(np.concatenate([winners, losers[:2]]))
+        assert len(winners) == len(losers) == 5 and len(seen) == 2
+        assert np.array_equal(offspring.x, step.x[kept]) and offspring.all_evaluated
+        is_winner = np.isin(kept, winners)
+        assert np.array_equal(offspring.f[is_winner], step.f[winners])
+        assert np.array_equal(offspring.f[~is_winner], prob.evaluate_batch(step.x[losers[:2]])[0])
+        assert result.evaluations == 17
+        assert [e["offspring_evaluated"] for e in result.log] == [5, 2]
 
     def test_runner_rejects_starved_budget(self):
         prob = make_problem("zdt1", d=8)
