@@ -10,7 +10,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ from .core import require_ints
 from .errors import ConfigError, IgdUndefined
 from .metrics import igd, wilcoxon_rank_sum
 from .model import ModelConfig, PopulationTransformer, load_checkpoint
-from .moea import run_cso, run_nsga2, run_random_search
+from .moea import check_run_sizes, run_cso, run_nsga2, run_random_search
 from .pipeline import FinetuneConfig, run_nsga2_model
 from .problems import make_problem
 
@@ -90,16 +90,12 @@ class ExperimentConfig:
     alpha: float = 0.05
 
     def __post_init__(self):
-        require_ints(self, "n_pop", "evals", "n_seeds", "master_seed")
+        check_run_sizes(self.n_pop, self.evals)
+        require_ints(self, "n_seeds", "master_seed")
         if self.reference_front_size is not None:
             require_ints(self, "reference_front_size")
         if not (self.problems and self.arms):
             raise ConfigError("a grid needs at least one problem and one arm")
-        if self.n_pop < 2:
-            raise ConfigError(f"n_pop must be >= 2, got {self.n_pop}")
-        if self.evals < self.n_pop:
-            raise ConfigError(f"evals ({self.evals}) must cover the initial population "
-                              f"of n_pop={self.n_pop}")
         if self.n_seeds < 1:
             raise ConfigError("n_seeds must be >= 1")
         if not (isinstance(self.alpha, (int, float)) and 0.0 < self.alpha < 1.0):
@@ -127,8 +123,8 @@ class ExperimentConfig:
             raise ConfigError(f"{source}: {exc}") from exc
 
     def to_json(self) -> str:
-        payload = asdict(self)
-        return json.dumps(payload, sort_keys=True, indent=2)
+        # default=int writes numpy integer sizes, which check_run_sizes accepts
+        return json.dumps(asdict(self), sort_keys=True, indent=2, default=int)
 
 
 @dataclass
@@ -139,9 +135,9 @@ class RunRecord:
     m: int
     seed_index: int
     seed: int
-    igd: float
-    evaluations: int
-    wall_time: float
+    igd: float = math.nan
+    evaluations: int = 0
+    wall_time: float = 0.0
     status: str = "ok"
     error: str | None = None
 
@@ -156,38 +152,23 @@ def default_front_size(m: int) -> int:
     return 1000 if m <= 3 else 5000
 
 
-def _blank_record(payload: dict) -> dict:
-    """A cell's record before it runs: its key fields, no result yet."""
-    case = payload["problem"]
-    return {
-        "arm": ArmSpec(**payload["arm"]).label, "problem": case["name"], "d": case["d"],
-        "m": case["m"], "seed_index": payload["seed_index"], "seed": payload["seed"],
-        "igd": math.nan, "evaluations": 0, "wall_time": 0.0,
-        "status": "ok", "error": None,
-    }
-
-
-def _run_cell(payload: dict) -> dict:
-    """Execute one (arm, problem, seed) cell; importable for worker pools."""
-    arm = ArmSpec(**payload["arm"])
-    case = ProblemCase(**payload["problem"])
-    record = _blank_record(payload)
+def _run_cell(record: RunRecord, arm: ArmSpec, cfg: ExperimentConfig) -> RunRecord:
+    """Execute one (arm, problem, seed) cell from its blank ``record``;
+    importable for worker pools."""
     start = time.perf_counter()
     try:
-        problem = make_problem(case.name, d=case.d, m=case.m)
-        front = problem.reference_front(payload["front_size"] or default_front_size(case.m))
-        result = ARM_RUNNERS[arm.kind](arm, problem, payload["n_pop"], payload["evals"],
-                                       payload["seed"])
+        problem = make_problem(record.problem, d=record.d, m=record.m)
+        front = problem.reference_front(cfg.reference_front_size
+                                        or default_front_size(record.m))
+        result = ARM_RUNNERS[arm.kind](arm, problem, cfg.n_pop, cfg.evals, record.seed)
         pop = result.population
-        record["igd"] = igd(front, pop.f[pop.cv == 0]).value
-        record["evaluations"] = result.evaluations
+        record = replace(record, igd=igd(front, pop.f[pop.cv == 0]).value,
+                         evaluations=result.evaluations)
     except IgdUndefined:
-        record["status"] = "infeasible"
+        record = replace(record, status="infeasible")
     except Exception as exc:  # cell failures are data, not crashes
-        record["status"] = "failed"
-        record["error"] = f"{type(exc).__name__}: {exc}"
-    record["wall_time"] = time.perf_counter() - start
-    return record
+        record = replace(record, status="failed", error=f"{type(exc).__name__}: {exc}")
+    return replace(record, wall_time=time.perf_counter() - start)
 
 
 def _openblas() -> ctypes.CDLL | None:
@@ -226,19 +207,22 @@ def _init_worker() -> None:
         setter(1)
 
 
-def _pooled_result(future, payload: dict) -> dict:
-    """A worker's record, or a failed one naming why the worker gave none."""
+def _pooled_result(future, blank: RunRecord) -> RunRecord:
+    """A worker's record, or the ``blank`` one failed, naming why the worker
+    gave none."""
     try:
         return future.result()
     except Exception as exc:  # e.g. BrokenProcessPool when a worker dies
-        return {**_blank_record(payload), "status": "failed",
-                "error": f"worker failed: {type(exc).__name__}: {exc}"}
+        return replace(blank, status="failed",
+                       error=f"worker failed: {type(exc).__name__}: {exc}")
 
 
 def run_benchmark(cfg: ExperimentConfig, workers: int = 1) -> list[RunRecord]:
     """Run every (arm x problem x seed) cell with derived seeds.
 
-    Cells are keyed deterministically; with ``workers > 1`` they execute in a
+    Each cell is one :class:`RunRecord` throughout: built here with its key
+    fields and no result, then filled in by its run. Cells are keyed
+    deterministically; with ``workers > 1`` they execute in a
     process pool, each worker pinned to one BLAS thread, and merge back in
     key order. A cell whose worker raised or died, which breaks the pool for
     every cell still pending, becomes a ``failed`` record naming the error;
@@ -247,28 +231,16 @@ def run_benchmark(cfg: ExperimentConfig, workers: int = 1) -> list[RunRecord]:
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    payloads = []
-    for case in cfg.problems:
-        for arm in cfg.arms:
-            for idx in range(cfg.n_seeds):
-                payloads.append({
-                    "arm": asdict(arm),
-                    "problem": asdict(case),
-                    "seed_index": idx,
-                    "seed": derive_seed(cfg.master_seed, arm.label, case.name,
-                                        case.d, case.m, idx),
-                    "n_pop": cfg.n_pop,
-                    "evals": cfg.evals,
-                    "front_size": cfg.reference_front_size,
-                })
+    cells = [(arm, RunRecord(arm.label, case.name, case.d, case.m, idx,
+                             derive_seed(cfg.master_seed, arm.label, case.name,
+                                         case.d, case.m, idx)))
+             for case in cfg.problems for arm in cfg.arms for idx in range(cfg.n_seeds)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_init_worker) as pool:
-            futures = [pool.submit(_run_cell, p) for p in payloads]
-            results = [_pooled_result(f, p) for f, p in zip(futures, payloads)]
-    else:
-        results = [_run_cell(p) for p in payloads]
-    return [RunRecord(**r) for r in results]
+            futures = [pool.submit(_run_cell, blank, arm, cfg) for arm, blank in cells]
+            return [_pooled_result(f, blank) for f, (_, blank) in zip(futures, cells)]
+    return [_run_cell(blank, arm, cfg) for arm, blank in cells]
 
 
 def roc_percent(best_baseline: float, ours: float) -> float:

@@ -21,11 +21,12 @@ def require_ints(obj, *names: str) -> None:
             raise ConfigError(f"{name} must be an int, got {value!r}")
 
 
-def require_count(value, name: str) -> int:
-    """``value`` as an int when it is a positive int or numpy integer, else
-    a ContractViolation naming it; a bool or a float is not a count."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
-        raise ContractViolation(f"{name} must be a positive int, got {value!r}")
+def require_count(value, name: str, minimum: int = 1) -> int:
+    """``value`` as an int when it is an int or numpy integer of at least
+    ``minimum``, else a ContractViolation naming it; a bool or a float is
+    not a count."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
+        raise ContractViolation(f"{name} must be an int >= {minimum}, got {value!r}")
     return int(value)
 
 
@@ -283,8 +284,7 @@ class EvaluationBudget:
 
     def reserve(self, k: int) -> int:
         """Atomically claim up to ``k`` evaluations; returns the granted count."""
-        if k < 0:
-            raise ContractViolation("cannot reserve a negative count")
+        k = require_count(k, "reserved count", minimum=0)
         with self._lock:
             grant = min(k, self._total - self._used)
             self._used += grant
@@ -292,8 +292,7 @@ class EvaluationBudget:
 
     def release(self, k: int) -> None:
         """Return ``k`` unused reserved evaluations to the pool."""
-        if k < 0:
-            raise ContractViolation("cannot release a negative count")
+        k = require_count(k, "released count", minimum=0)
         with self._lock:
             if k > self._used:
                 raise ContractViolation("releasing more than was reserved")

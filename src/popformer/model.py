@@ -106,6 +106,15 @@ class ModelConfig:
         if min(self.d_hat, self.m_hat, self.width, self.heads, self.max_seq) < 1:
             raise ConfigError("all capacity fields must be positive")
 
+    def check_fits(self, d: int, m: int, n: int, what: str) -> None:
+        """Raise CapacityError naming ``what`` unless ``n`` members with ``d``
+        decision variables and ``m`` objectives fit this model."""
+        for size, cap, text in ((d, self.d_hat, f"{what} with {d} decision variables"),
+                                (m, self.m_hat, f"{what} with {m} objectives"),
+                                (n, self.max_seq, f"{n} {what}")):
+            if size > cap:
+                raise CapacityError(f"{text} exceed model capacity {cap}")
+
     @property
     def hidden(self) -> int:
         return 4 * self.width
@@ -269,12 +278,7 @@ class PopulationTransformer:
         """
         *lead, n, m = f.shape
         cfg = self.config
-        if spec.d > cfg.d_hat:
-            raise CapacityError(f"decision dimension {spec.d} exceeds capacity {cfg.d_hat}")
-        if m > cfg.m_hat:
-            raise CapacityError(f"objective count {m} exceeds capacity {cfg.m_hat}")
-        if n > cfg.max_seq:
-            raise CapacityError(f"population size {n} exceeds capacity {cfg.max_seq}")
+        cfg.check_fits(spec.d, m, n, "members")
         normed = minmax_normalize_objectives(f, frame)
         if frame is not None:
             normed = np.clip(normed, *FRAME_WINDOW)
@@ -405,15 +409,11 @@ class PopulationTransformer:
         model output raises :class:`ModelOutputError` naming the generation
         and the decode step.
         """
-        if not parents.all_evaluated:
-            raise DataError("generation requires evaluated parents")
         n_target = (len(parents) if n_offspring is None
                     else require_count(n_offspring, "n_offspring"))
         spec = problem.spec
         generation = parents.generation_index + 1
-        if n_target > self.config.max_seq:
-            raise CapacityError(f"{n_target} offspring exceed model capacity "
-                                f"{self.config.max_seq}")
+        self.config.check_fits(spec.d, spec.m, n_target, "offspring")
         cache = DecoderCache(self, self.encode_parents(parents, spec), n_target)
         x, f, cv = np.empty((n_target, spec.d)), np.empty((n_target, spec.m)), np.empty(n_target)
         x[0] = rng.uniform(spec.lower, spec.upper)

@@ -18,7 +18,7 @@ from .core import (
     evaluate,
     random_population,
 )
-from .errors import ContractViolation
+from .errors import ConfigError, ContractViolation
 
 
 @dataclass(frozen=True)
@@ -255,6 +255,19 @@ def random_offspring(parents: Population, rng: np.random.Generator,
     return random_population(problem, len(parents), rng, parents.generation_index + 1)
 
 
+def check_run_sizes(n_pop, evals) -> None:
+    """Raise ConfigError unless ``n_pop`` is an int >= 2 and ``evals`` an int
+    that covers the initial population; numpy integers count as ints, bools
+    and floats do not."""
+    for name, value in (("population size", n_pop), ("evals", evals)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ConfigError(f"{name} must be an int, got {value!r}")
+    if n_pop < 2:
+        raise ConfigError(f"population size must be >= 2, got {n_pop}")
+    if evals < n_pop:
+        raise ConfigError(f"evals ({evals}) must cover the initial population of {n_pop}")
+
+
 @dataclass
 class RunResult:
     population: Population
@@ -280,12 +293,10 @@ def run_generational(problem: Problem, n_pop: int, evals: int, make_offspring,
     when given, is the loop's one hook: it receives that selection's indices
     into the parents followed by the offspring, and its entries join the
     generation's log entry. The parents of generation g carry
-    ``generation_index`` g.
+    ``generation_index`` g. Sizes that fail :func:`check_run_sizes` raise
+    ConfigError before any evaluation.
     """
-    if n_pop < 2:
-        raise ContractViolation("population size must be at least 2")
-    if evals < n_pop:
-        raise ContractViolation("budget must cover at least the initial population")
+    check_run_sizes(n_pop, evals)
     budget = EvaluationBudget(evals)
     rng = np.random.default_rng(seed)
     pool = evaluate(random_population(problem, n_pop, rng), problem, budget)

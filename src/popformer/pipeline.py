@@ -10,10 +10,10 @@ import numpy as np
 
 from .core import Population, Problem, ProblemSpec, require_ints
 from .dataset import TrajectoryDataset, TrajectoryPair
-from .errors import CapacityError, ConfigError, ContractViolation, DataError
+from .errors import ConfigError, DataError
 from .metrics import igd
 from .model import PopulationTransformer, teacher_forced_loss
-from .moea import TEACHERS, RunResult, run_generational
+from .moea import TEACHERS, RunResult, check_run_sizes, run_generational
 from .nn import Adam
 
 log = logging.getLogger(__name__)
@@ -77,10 +77,7 @@ def collect_trajectories(problems: list[Problem], teachers: list[str], seeds: li
     collection continues. Cells run in sorted key order, so identical
     inputs give byte-identical datasets.
     """
-    if n_pop < 2:
-        raise ConfigError(f"population size must be >= 2, got {n_pop}")
-    if evals < n_pop:
-        raise ConfigError(f"evals ({evals}) must cover the initial population of {n_pop}")
+    check_run_sizes(n_pop, evals)
     for what, given in (("problem", problems), ("teacher", teachers), ("seed", seeds)):
         if not given:
             raise ConfigError(f"collection needs at least one {what}, got {given!r}")
@@ -106,15 +103,6 @@ def collect_trajectories(problems: list[Problem], teachers: list[str], seeds: li
             continue
         dataset.pairs.extend(pairs)
     return dataset
-
-
-def _check_pair_capacity(pair: TrajectoryPair, model: PopulationTransformer) -> None:
-    cfg = model.config
-    if pair.d > cfg.d_hat or pair.m > cfg.m_hat or pair.size > cfg.max_seq:
-        raise CapacityError(
-            f"pair {pair.problem_name} (d={pair.d}, m={pair.m}, n={pair.size}) exceeds model "
-            f"capacity (d_hat={cfg.d_hat}, m_hat={cfg.m_hat}, max_seq={cfg.max_seq})"
-        )
 
 
 def train_step(model: PopulationTransformer, optimizer: Adam,
@@ -159,7 +147,8 @@ def pretrain(dataset: TrajectoryDataset, model: PopulationTransformer,
     if not dataset.pairs:
         raise DataError("cannot pretrain on an empty dataset")
     for pair in dataset.pairs:
-        _check_pair_capacity(pair, model)
+        model.config.check_fits(pair.d, pair.m, pair.size,
+                                f"members of a {pair.problem_name} pair")
     groups: dict[tuple, list[TrajectoryPair]] = {}
     for pair in sorted(dataset.pairs, key=TrajectoryPair.sort_key):
         groups.setdefault(pair.group_key(), []).append(pair)
@@ -209,13 +198,12 @@ def finetune_step(model: PopulationTransformer, optimizer: Adam | None, x_g: Pop
     frame exactly as in generation.
 
     ``optimizer`` is the run's own online Adam; zero steps leave the model
-    untouched and need none. Returns the last step's loss (None for zero
-    steps).
+    untouched and need none. An unevaluated population raises a
+    ContractViolation, from ``concat`` or the loss, before any weight
+    changes. Returns the last step's loss (None for zero steps).
     """
     if steps == 0:
         return None
-    if not (x_g.all_evaluated and x_g1.all_evaluated):
-        raise ContractViolation("online update requires evaluated populations")
     kept = selected[selected >= len(x_g)] - len(x_g)
     target = x_g1.take(kept) if len(kept) >= 2 else x_g.concat(x_g1).take(selected)
     losses = [train_step(model, optimizer, [(x_g, target)], problem.spec)
@@ -234,10 +222,10 @@ def run_nsga2_model(problem: Problem, model: PopulationTransformer, n_pop: int,
     no weight decay), so no optimizer state outlives the run. Its loss, and
     the IGD of the selected population when ``reference_front`` is given,
     join the log entry; both use the loop's one selection of the generation.
+    A problem or population size the model cannot hold raises CapacityError
+    before any evaluation.
     """
-    if n_pop > model.config.max_seq:
-        raise CapacityError(f"population size {n_pop} exceeds model capacity "
-                            f"{model.config.max_seq}")
+    model.config.check_fits(problem.spec.d, problem.spec.m, n_pop, "population members")
     steps = fine_cfg.steps_per_generation
     optimizer = Adam(model.parameters(), lr=fine_cfg.lr) if steps else None
 

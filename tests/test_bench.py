@@ -21,7 +21,9 @@ from popformer.bench import (
 )
 from popformer.cli import main
 from popformer.errors import ConfigError
-from popformer.pipeline import FinetuneConfig
+from popformer.moea import run_nsga2
+from popformer.pipeline import FinetuneConfig, collect_trajectories
+from popformer.problems import make_problem
 
 TINY = ExperimentConfig(
     problems=(ProblemCase("zdt1", d=8),),
@@ -185,6 +187,40 @@ class TestRunBenchmark:
         text = TINY.to_json()
         again = ExperimentConfig.from_json(text)
         assert again == TINY
+
+
+def _grid(n_pop, evals):
+    return ExperimentConfig(problems=(ProblemCase("zdt1", d=4),), arms=(ArmSpec("nsga2"),),
+                            n_pop=n_pop, evals=evals, reference_arm="nsga2")
+
+
+class TestRunSizes:
+    """moea.check_run_sizes, the one run-size rule, at each entry point."""
+
+    ENTRY_POINTS = {
+        "run_nsga2": lambda n, e: run_nsga2(make_problem("zdt1", d=4), n, e),
+        "collect_trajectories": lambda n, e: collect_trajectories(
+            [make_problem("zdt1", d=4)], ["nsga2"], [0], n_pop=n, evals=e),
+        "ExperimentConfig": _grid,
+    }
+
+    @pytest.mark.parametrize("n_pop,evals,message", [
+        (4.0, 30, "population size must be an int, got 4.0"),
+        (1, 30, "population size must be >= 2, got 1"),
+        (True, 30, "population size must be an int, got True"),
+        (10, 30.5, "evals must be an int, got 30.5"),
+        (10, 5, "evals (5) must cover the initial population of 10"),
+    ], ids=["float-pop", "pop-1", "bool-pop", "float-evals", "evals-below-pop"])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_same_config_error_at_every_entry_point(self, entry, n_pop, evals, message):
+        with pytest.raises(ConfigError) as exc:
+            self.ENTRY_POINTS[entry](n_pop, evals)
+        assert str(exc.value) == message
+
+    def test_numpy_ints_are_sizes(self):
+        cfg = _grid(np.int64(4), np.int64(12))
+        assert ExperimentConfig.from_json(cfg.to_json()) == _grid(4, 12)
+        assert run_nsga2(make_problem("zdt1", d=4), np.int64(4), np.int64(12)).evaluations == 12
 
 
 class TestMallocThresholds:

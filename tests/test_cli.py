@@ -47,6 +47,20 @@ class TestExitCodes:
         assert "ConfigError" in err and named in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags,named", [
+        (("--pop", "1"), "population size must be >= 2, got 1"),
+        (("--pop", "10", "--evals", "5"), "evals (5) must cover the initial population of 10"),
+    ], ids=["pop-1", "evals-below-pop"])
+    def test_optimize_bad_sizes_are_usage_errors(self, tmp_path, capsys, flags, named):
+        model = tmp_path / "model.petm"
+        save_checkpoint(PopulationTransformer(ModelConfig(**TOY_CONFIG), seed=0), model)
+        log = tmp_path / "run.jsonl"
+        assert run_cli("optimize", "--problem", "zdt1", "--d", "8", "--model", str(model),
+                       "--log", str(log), *flags) == 1
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and named in err
+        assert not log.exists()
+
     def test_selftest_passes(self, capsys):
         assert run_cli("selftest") == 0
         out = capsys.readouterr().out

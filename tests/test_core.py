@@ -299,6 +299,24 @@ class TestBudget:
         with pytest.raises(ContractViolation):
             budget.reserve(-1)
 
+    @pytest.mark.parametrize("k", [2.5, True, -1])
+    def test_non_count_reserve_and_release_rejected(self, k):
+        budget = EvaluationBudget(10)
+        budget.reserve(4)
+        for op in (budget.reserve, budget.release):
+            with pytest.raises(ContractViolation, match=f"got {k!r}"):
+                op(k)
+            assert budget.used == 4
+
+    def test_zero_and_numpy_int_counts_accepted(self):
+        budget = EvaluationBudget(10)
+        assert budget.reserve(0) == 0 and budget.used == 0
+        got = budget.reserve(np.int64(3))
+        assert got == 3 and type(got) is int and budget.used == 3
+        budget.release(np.int64(2))
+        budget.release(0)
+        assert budget.used == 1
+
 
 class TestInvariants:
     def test_solution_fields_come_together(self):

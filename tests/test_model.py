@@ -255,6 +255,13 @@ class TestGenerate:
                                 np.random.default_rng(0), n_offspring=50)
         assert budget.used == 0
 
+    def test_unevaluated_parents_rejected_before_any_evaluation(self):
+        budget = EvaluationBudget(100)
+        with pytest.raises(DataError, match="evaluated parent population"):
+            self.model.generate(Population(self.parents.x), self.problem, budget,
+                                np.random.default_rng(0))
+        assert budget.used == 0
+
     def test_offspring_evaluated_and_in_bounds(self):
         budget = EvaluationBudget(50)
         result = self.model.generate(self.parents, self.problem, budget,

@@ -26,7 +26,7 @@ from popformer import (
     teacher_forced_loss,
 )
 from popformer import moea
-from popformer.errors import CapacityError, ConfigError, DataError
+from popformer.errors import CapacityError, ConfigError, ContractViolation, DataError
 from popformer.moea import nsga2_select
 from popformer.nn import Adam
 from test_moea import ConstrainedZdt1
@@ -374,6 +374,16 @@ class TestFinetune:
         for a, b in zip(before, self.snapshot()):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("selected", [[0, 1, 2, 6, 7, 8], list(range(6))],
+                             ids=["offspring-target", "survivor-target"])
+    def test_unevaluated_offspring_rejected_before_any_update(self, selected):
+        before = self.snapshot()
+        pending = Population(self.x_g1.x, generation_index=1)
+        with pytest.raises(ContractViolation):
+            online_update(self.model, self.x_g, pending, self.problem, np.array(selected))
+        for a, b in zip(before, self.snapshot()):
+            assert a.tobytes() == b.tobytes()
+
     def test_one_step_changes_parameters(self):
         before = self.snapshot()
         loss = online_update(self.model, self.x_g, self.x_g1, self.problem,
@@ -545,3 +555,16 @@ class TestModelRun:
         model = PopulationTransformer(TOY, seed=0)
         with pytest.raises(CapacityError):
             run_nsga2_model(problem, model, TOY.max_seq + 2, 200, seed=0)
+
+    @pytest.mark.parametrize("d,m", [(TOY.d_hat + 2, 2), (4, TOY.m_hat + 1)],
+                             ids=["too-wide", "too-many-objectives"])
+    def test_problem_too_big_for_model_fails_before_any_evaluation(self, monkeypatch, d, m):
+        problem = make_problem("shift", d=d, m=m)
+        calls = []
+        for name in ("evaluate_batch", "evaluate_solution"):
+            original = getattr(problem, name)
+            monkeypatch.setattr(problem, name,
+                                lambda x, original=original: calls.append(1) or original(x))
+        with pytest.raises(CapacityError, match="population members with"):
+            run_nsga2_model(problem, PopulationTransformer(TOY, seed=0), 8, 32, seed=0)
+        assert calls == []
