@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import require_ints
+from .core import require_count
 from .errors import ConfigError, IgdUndefined
 from .metrics import igd, wilcoxon_rank_sum
 from .model import ModelConfig, PopulationTransformer, load_checkpoint
@@ -74,7 +74,8 @@ class ProblemCase:
     m: int = 2
 
     def __post_init__(self):
-        require_ints(self, "d", "m")
+        require_count(self.d, "d")
+        require_count(self.m, "m", minimum=2)
 
 
 @dataclass(frozen=True)
@@ -91,13 +92,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_run_sizes(self.n_pop, self.evals)
-        require_ints(self, "n_seeds", "master_seed")
+        require_count(self.n_seeds, "n_seeds")
+        require_count(self.master_seed, "master_seed", minimum=None)
         if self.reference_front_size is not None:
-            require_ints(self, "reference_front_size")
+            require_count(self.reference_front_size, "reference_front_size")
         if not (self.problems and self.arms):
             raise ConfigError("a grid needs at least one problem and one arm")
-        if self.n_seeds < 1:
-            raise ConfigError("n_seeds must be >= 1")
         if not (isinstance(self.alpha, (int, float)) and 0.0 < self.alpha < 1.0):
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha!r}")
         labels = [a.label for a in self.arms]
@@ -123,8 +123,8 @@ class ExperimentConfig:
             raise ConfigError(f"{source}: {exc}") from exc
 
     def to_json(self) -> str:
-        # default=int writes numpy integer sizes, which check_run_sizes accepts
-        return json.dumps(asdict(self), sort_keys=True, indent=2, default=int)
+        # numpy numbers, which the checks accept, are written as Python numbers
+        return json.dumps(asdict(self), sort_keys=True, indent=2, default=np.generic.item)
 
 
 @dataclass
@@ -229,8 +229,7 @@ def run_benchmark(cfg: ExperimentConfig, workers: int = 1) -> list[RunRecord]:
     finished cells keep their results. Fewer than one worker is a
     ConfigError.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    require_count(workers, "workers")
     cells = [(arm, RunRecord(arm.label, case.name, case.d, case.m, idx,
                              derive_seed(cfg.master_seed, arm.label, case.name,
                                          case.d, case.m, idx)))

@@ -13,20 +13,14 @@ import numpy as np
 from .errors import ConfigError, ContractViolation, EvaluationError, UnsupportedFront
 
 
-def require_ints(obj, *names: str) -> None:
-    """Raise ConfigError unless each named field of ``obj`` is an int."""
-    for name in names:
-        value = getattr(obj, name)
-        if type(value) is not int:  # a bool, a float or a string is not a count
-            raise ConfigError(f"{name} must be an int, got {value!r}")
-
-
-def require_count(value, name: str, minimum: int = 1) -> int:
+def require_count(value, name: str, minimum: int | None = 1) -> int:
     """``value`` as an int when it is an int or numpy integer of at least
-    ``minimum``, else a ContractViolation naming it; a bool or a float is
-    not a count."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
-        raise ContractViolation(f"{name} must be an int >= {minimum}, got {value!r}")
+    ``minimum`` (any int when ``minimum`` is None), else a ConfigError naming
+    it; a bool or a float is not a count. The package's one integer rule."""
+    if not isinstance(value, (int, np.integer)) or type(value) is bool:
+        raise ConfigError(f"{name} must be an int, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
 
 
@@ -47,10 +41,8 @@ class ProblemSpec:
     upper: np.ndarray
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ContractViolation(f"decision dimension must be positive, got {self.d}")
-        if self.m < 2:
-            raise ContractViolation(f"objective count must be at least 2, got {self.m}")
+        require_count(self.d, "d")
+        require_count(self.m, "m", minimum=2)
         lower = _frozen_array(self.lower)
         upper = _frozen_array(self.upper)
         if lower.shape != (self.d,) or upper.shape != (self.d,):

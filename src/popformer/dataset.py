@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Population, ProblemSpec, normalize_decision
+from .core import Population, ProblemSpec, normalize_decision, require_count
 from .errors import DataError
 
 DATASET_FORMAT = "popformer-trajectories"
@@ -161,16 +161,17 @@ class TrajectoryDataset:
         for no, ln in lines[1:]:
             try:
                 rec = json.loads(ln)
-                gen = int(rec["generation"])
+                gen = require_count(rec["generation"], "generation", minimum=0)
                 pairs.append(TrajectoryPair(
-                    problem_name=rec["problem"], d=int(rec["d"]), m=int(rec["m"]),
-                    teacher=rec["teacher"], seed=int(rec["seed"]), generation=gen,
+                    problem_name=rec["problem"], d=require_count(rec["d"], "d"),
+                    m=require_count(rec["m"], "m", minimum=2), teacher=rec["teacher"],
+                    seed=require_count(rec["seed"], "seed", minimum=0), generation=gen,
                     x_g=Population(rec["x_g"], rec["f_g"], np.zeros(len(rec["f_g"])), gen),
                     x_g1=Population(rec["x_g1"], rec["f_g1"], np.zeros(len(rec["f_g1"])),
                                     gen + 1),
                 ))
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                # bad JSON is a ValueError, an infinite integer field an OverflowError
+                # bad JSON or int fields are ValueErrors, a huge integer an OverflowError
                 raise DataError(f"{path}: line {no}: malformed record: {exc!r}") from exc
         if manifest.get("pair_count") != len(pairs):
             raise DataError(

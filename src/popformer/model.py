@@ -43,7 +43,6 @@ from .core import (
     denormalize_decision,
     normalize_decision,
     require_count,
-    require_ints,
 )
 from .dataset import minmax_normalize_objectives, objective_frame
 from .errors import (
@@ -98,13 +97,10 @@ class ModelConfig:
     max_seq: int = 100    # largest population the model accepts
 
     def __post_init__(self):
-        require_ints(self, "d_hat", "m_hat", "width", "layers", "heads", "max_seq")
-        if self.layers < 1:
-            raise ConfigError("layers must be >= 1")
+        for f in fields(self):
+            require_count(getattr(self, f.name), f.name)
         if self.width % self.heads != 0:
             raise ConfigError(f"width {self.width} must be divisible by heads {self.heads}")
-        if min(self.d_hat, self.m_hat, self.width, self.heads, self.max_seq) < 1:
-            raise ConfigError("all capacity fields must be positive")
 
     def check_fits(self, d: int, m: int, n: int, what: str) -> None:
         """Raise CapacityError naming ``what`` unless ``n`` members with ``d``
@@ -120,7 +116,8 @@ class ModelConfig:
         return 4 * self.width
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        # default=int writes numpy integer fields as the ints they hold
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"), default=int)
 
     @classmethod
     def from_json(cls, text: str) -> "ModelConfig":
@@ -229,7 +226,7 @@ class PopulationTransformer:
 
     def __init__(self, config: ModelConfig = ModelConfig(), seed: int = 0):
         self.config = config
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(require_count(seed, "seed", minimum=0))
         w = config.width
         self.e_dim = uniform_linear(rng, config.d_hat, w).w
         self.e_obj = uniform_linear(rng, config.m_hat, w).w

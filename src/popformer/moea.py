@@ -17,6 +17,7 @@ from .core import (
     Problem,
     evaluate,
     random_population,
+    require_count,
 )
 from .errors import ConfigError, ContractViolation
 
@@ -257,14 +258,9 @@ def random_offspring(parents: Population, rng: np.random.Generator,
 
 def check_run_sizes(n_pop, evals) -> None:
     """Raise ConfigError unless ``n_pop`` is an int >= 2 and ``evals`` an int
-    that covers the initial population; numpy integers count as ints, bools
-    and floats do not."""
-    for name, value in (("population size", n_pop), ("evals", evals)):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-            raise ConfigError(f"{name} must be an int, got {value!r}")
-    if n_pop < 2:
-        raise ConfigError(f"population size must be >= 2, got {n_pop}")
-    if evals < n_pop:
+    that covers the initial population, by :func:`core.require_count`."""
+    n_pop = require_count(n_pop, "population size", minimum=2)
+    if require_count(evals, "evals", minimum=None) < n_pop:
         raise ConfigError(f"evals ({evals}) must cover the initial population of {n_pop}")
 
 
@@ -293,12 +289,12 @@ def run_generational(problem: Problem, n_pop: int, evals: int, make_offspring,
     when given, is the loop's one hook: it receives that selection's indices
     into the parents followed by the offspring, and its entries join the
     generation's log entry. The parents of generation g carry
-    ``generation_index`` g. Sizes that fail :func:`check_run_sizes` raise
-    ConfigError before any evaluation.
+    ``generation_index`` g. Sizes that fail :func:`check_run_sizes`, and a
+    ``seed`` that is not an int >= 0, raise ConfigError before any evaluation.
     """
     check_run_sizes(n_pop, evals)
     budget = EvaluationBudget(evals)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_count(seed, "seed", minimum=0))
     pool = evaluate(random_population(problem, n_pop, rng), problem, budget)
     selected, rank = nsga2_select(pool, n_pop)
     log: list[dict] = []

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Population, Problem, ProblemSpec, require_ints
+from .core import Population, Problem, ProblemSpec, require_count
 from .dataset import TrajectoryDataset, TrajectoryPair
 from .errors import ConfigError, DataError
 from .metrics import igd
@@ -20,9 +20,11 @@ log = logging.getLogger(__name__)
 
 
 def _require_rate(obj, name: str, zero_ok: bool = False) -> None:
+    """Raise ConfigError unless field ``name`` is a finite real, numpy's too
+    but not a bool, above 0 (at or above 0 when ``zero_ok``)."""
     value = getattr(obj, name)
-    if not (isinstance(value, (int, float)) and np.isfinite(value)
-            and (value >= 0 if zero_ok else value > 0)):
+    if not (isinstance(value, (int, float, np.integer, np.floating)) and type(value) is not bool
+            and np.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
         raise ConfigError(f"{name} must be a finite number "
                           f"{'>= 0' if zero_ok else '> 0'}, got {value!r}")
 
@@ -37,9 +39,9 @@ class PretrainConfig:
     eval_every: int = 50
 
     def __post_init__(self):
-        require_ints(self, "steps", "batch_size", "eval_every")
-        if min(self.steps, self.batch_size, self.eval_every) < 1:
-            raise ConfigError("steps, batch_size and eval_every must be >= 1")
+        for name in ("steps", "batch_size", "eval_every"):
+            require_count(getattr(self, name), name)
+        require_count(self.seed, "seed", minimum=0)
         _require_rate(self, "lr")
         _require_rate(self, "weight_decay", zero_ok=True)
 
@@ -58,9 +60,7 @@ class FinetuneConfig:
     lr: float = 1e-4
 
     def __post_init__(self):
-        require_ints(self, "steps_per_generation")
-        if self.steps_per_generation < 0:
-            raise ConfigError("steps_per_generation must be >= 0")
+        require_count(self.steps_per_generation, "steps_per_generation", minimum=0)
         _require_rate(self, "lr")
 
 

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from ..core import Problem, ProblemSpec
+from ..core import Problem, ProblemSpec, require_count
 from ..errors import ConfigError
 from .zdt import _spread_over_intervals
 
@@ -106,7 +106,8 @@ class LsmopProblem(Problem):
     def __init__(self, variant: int, d: int, m: int = 3):
         if variant not in _VARIANTS:
             raise ConfigError(f"unknown LSMOP variant {variant} (supported: 1..9)")
-        if not 2 <= m <= 10:
+        require_count(d, f"lsmop{variant} d")
+        if not 2 <= require_count(m, f"lsmop{variant} m", minimum=None) <= 10:
             raise ConfigError(f"LSMOP objective count must be in [2, 10], got {m}")
         if d <= m:
             raise ConfigError(f"LSMOP needs d > m, got d={d}, m={m}")
@@ -165,8 +166,7 @@ class LsmopProblem(Problem):
         return np.concatenate([xf, last], axis=-1)
 
     def reference_front(self, n: int) -> np.ndarray:
-        if n < 1:
-            raise ConfigError("reference front size must be positive")
+        n = require_count(n, "reference front size")
         m = self.spec.m
         if self.shape == "linear":
             return simplex_lattice(n, m)

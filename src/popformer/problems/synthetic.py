@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import EvaluationBudget, Population, Problem, ProblemSpec, evaluate
+from ..core import EvaluationBudget, Population, Problem, ProblemSpec, evaluate, require_count
 from ..errors import ConfigError
 
 
@@ -21,6 +21,7 @@ class ShiftClusterProblem(Problem):
     SPREAD = 0.01  # half-width of a cluster population around its base point
 
     def __init__(self, d: int, m: int = 2, shift: float | np.ndarray = 0.1):
+        require_count(d, "shift d")
         shift_vec = np.asarray(shift, dtype=float)
         if shift_vec.ndim == 0:
             shift_vec = np.full(d, float(shift_vec))

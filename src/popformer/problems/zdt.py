@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import Problem, ProblemSpec
+from ..core import Problem, ProblemSpec, require_count
 from ..errors import ConfigError
 
 # f1 intervals of the disconnected ZDT3 front (standard published constants;
@@ -58,8 +58,7 @@ class ZdtProblem(Problem):
     def __init__(self, variant: int, d: int = 30):
         if variant not in self.VARIANTS:
             raise ConfigError(f"unknown ZDT variant {variant} (supported: {self.VARIANTS})")
-        if d < 2:
-            raise ConfigError("ZDT needs at least 2 decision variables")
+        require_count(d, f"zdt{variant} d", minimum=2)
         self.variant = variant
         lower = np.zeros(d)
         upper = np.ones(d)
@@ -93,8 +92,7 @@ class ZdtProblem(Problem):
         return np.stack([f1, f2], axis=-1)
 
     def reference_front(self, n: int) -> np.ndarray:
-        if n < 1:
-            raise ConfigError("reference front size must be positive")
+        n = require_count(n, "reference front size")
         if self.variant in (1, 4):
             # parameterize as (t^2, 1 - t) so points spread evenly along the curve
             t = np.linspace(0.0, 1.0, n)

@@ -3,6 +3,7 @@ import ctypes
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -178,6 +179,40 @@ class TestRunBenchmark:
         assert main(["benchmark", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert "ConfigError" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("change,named", [
+        ({"reference_front_size": 0}, "reference_front_size must be >= 1, got 0"),
+        ({"reference_front_size": -5}, "reference_front_size must be >= 1, got -5"),
+        ({"n_seeds": 0}, "n_seeds must be >= 1, got 0"),
+        ({"master_seed": 1.5}, "master_seed must be an int, got 1.5"),
+        ({"problems": [{"name": "zdt1", "d": 0}]}, "d must be >= 1, got 0"),
+        ({"problems": [{"name": "zdt1", "d": 8, "m": 1}]}, "m must be >= 2, got 1"),
+        ({"arms": [{"kind": "nsga2"}, {"kind": "learned", "lr": True}]},
+         "lr must be a finite number > 0, got True"),
+    ], ids=["front-0", "front-minus-5", "n_seeds-0", "float-master-seed", "d-0", "m-1",
+            "bool-lr"])
+    def test_integer_and_rate_rules_name_the_file(self, tmp_path, change, named):
+        path = tmp_path / "grid.json"
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_json(json.dumps({**self.GOOD, **change}), source=str(path))
+        assert str(exc.value) == f"{path}: {named}"
+
+    def test_negative_master_seed_accepted(self):
+        cfg = ExperimentConfig.from_json(json.dumps({**self.GOOD, "master_seed": -3}))
+        assert cfg.master_seed == -3
+
+    def test_numpy_numbers_write_the_same_json(self):
+        cfg = ExperimentConfig(
+            problems=(ProblemCase("zdt1", d=np.int64(8), m=np.int32(2)),),
+            arms=(ArmSpec("nsga2"), ArmSpec("random"),
+                  ArmSpec("learned", lr=np.float32(0.5), steps_per_generation=np.int64(2))),
+            n_pop=np.int64(8), evals=np.int64(40), n_seeds=np.int64(3),
+            master_seed=np.int64(7), reference_arm="random",
+            reference_front_size=np.int64(100))
+        plain = replace(TINY, arms=TINY.arms + (ArmSpec("learned", lr=0.5,
+                                                        steps_per_generation=2),))
+        assert cfg.to_json() == plain.to_json()
+        assert ExperimentConfig.from_json(cfg.to_json()) == plain
 
     def test_good_config_accepted(self):
         cfg = ExperimentConfig.from_json(json.dumps(self.GOOD), source="grid.json")

@@ -61,6 +61,32 @@ class TestExitCodes:
         assert "ConfigError" in err and named in err
         assert not log.exists()
 
+    def test_optimize_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        model = tmp_path / "model.petm"
+        save_checkpoint(PopulationTransformer(ModelConfig(**TOY_CONFIG), seed=0), model)
+        log = tmp_path / "run.jsonl"
+        assert run_cli("optimize", "--problem", "zdt1", "--d", "8", "--model", str(model),
+                       "--pop", "8", "--evals", "16", "--seed", "-1", "--log", str(log)) == 1
+        assert "ConfigError: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not log.exists()
+
+    @pytest.mark.parametrize("flags,config,named", [
+        (("--seed", "-1"), TOY_CONFIG, "ConfigError: seed must be >= 0, got -1"),
+        ((), {**TOY_CONFIG, "heads": 0}, "ConfigError: heads must be >= 1, got 0"),
+    ], ids=["seed-minus-1", "heads-0"])
+    def test_pretrain_bad_integers_are_usage_errors(self, tmp_path, capsys, flags, config,
+                                                    named):
+        data = tmp_path / "data.jsonl"
+        assert run_cli("collect", "--problems", "zdt1", "--d", "4", "--pop", "4",
+                       "--evals", "12", "--out", str(data)) == 0
+        cfg_path = tmp_path / "model.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "model.petm"
+        assert run_cli("pretrain", "--data", str(data), "--config", str(cfg_path),
+                       "--steps", "1", "--batch", "1", "--out", str(out), *flags) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_selftest_passes(self, capsys):
         assert run_cli("selftest") == 0
         out = capsys.readouterr().out

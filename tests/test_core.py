@@ -15,8 +15,8 @@ from popformer import (
     normalize_decision,
     random_population,
 )
-from popformer.core import Problem, ProblemSpec, aggregate_violation
-from popformer.errors import ContractViolation, EvaluationError
+from popformer.core import Problem, ProblemSpec, aggregate_violation, require_count
+from popformer.errors import ConfigError, ContractViolation, EvaluationError
 
 
 def sol(f):
@@ -118,6 +118,42 @@ class TestNormalization:
     def test_zero_width_bound_rejected_at_construction(self):
         with pytest.raises(ContractViolation):
             ProblemSpec("bad", 2, 2, lower=np.array([0.0, 1.0]), upper=np.array([1.0, 1.0]))
+
+
+class TestRequireCount:
+    """core.require_count, the package's one integer rule."""
+
+    @pytest.mark.parametrize("value,minimum", [
+        (3, 1), (np.int64(3), 1), (np.int32(0), 0), (np.uint8(2), 2), (-7, None),
+        (np.int64(-7), None), (2**64 - 1, 0),
+    ])
+    def test_counts_come_back_as_ints(self, value, minimum):
+        got = require_count(value, "n", minimum=minimum)
+        assert got == value and type(got) is int
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), 2.0, np.float64(2.0),
+                                       "2", None, [2]])
+    def test_non_ints_rejected_with_the_type_message(self, value):
+        for minimum in (1, None):
+            with pytest.raises(ConfigError) as exc:
+                require_count(value, "n", minimum=minimum)
+            assert str(exc.value) == f"n must be an int, got {value!r}"
+
+    @pytest.mark.parametrize("value,minimum", [(0, 1), (-1, 0), (np.int64(1), 2)])
+    def test_ints_below_the_minimum_rejected_with_the_range_message(self, value, minimum):
+        with pytest.raises(ConfigError) as exc:
+            require_count(value, "n", minimum=minimum)
+        assert str(exc.value) == f"n must be >= {minimum}, got {int(value)}"
+
+    @pytest.mark.parametrize("d,m,named", [(0, 2, "d must be >= 1, got 0"),
+                                           (3, 1, "m must be >= 2, got 1"),
+                                           (2.0, 2, "d must be an int, got 2.0")],
+                             ids=["d-0", "m-1", "float-d"])
+    def test_problem_spec_sizes(self, d, m, named):
+        with pytest.raises(ConfigError, match=f"^{named}$"):
+            ProblemSpec("bad", d, m, lower=np.zeros(2), upper=np.ones(2))
+        spec = ProblemSpec("box", np.int64(2), np.int64(2), lower=np.zeros(2), upper=np.ones(2))
+        assert spec.lower.shape == (2,)
 
 
 class TestEvaluate:

@@ -59,6 +59,29 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig(layers=0)
 
+    @pytest.mark.parametrize("field", ["d_hat", "m_hat", "width", "layers", "heads",
+                                       "max_seq"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_field_below_one_named(self, field, value):
+        # every field is checked before width % heads, so heads=0 divides nothing
+        with pytest.raises(ConfigError, match=f"^{field} must be >= 1, got {value}$"):
+            ModelConfig(**{field: value})
+
+    def test_numpy_int_fields_save_a_byte_identical_checkpoint(self, tmp_path):
+        cfg = ModelConfig(**{k: np.int64(v) for k, v in asdict(TOY).items()})
+        assert cfg == TOY and cfg.to_json() == TOY.to_json()
+        paths = [tmp_path / "np.petm", tmp_path / "int.petm"]
+        for config, path in zip((cfg, TOY), paths):
+            save_checkpoint(PopulationTransformer(config, seed=5), path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("seed,named", [(-1, "seed must be >= 0, got -1"),
+                                            (0.5, "seed must be an int, got 0.5")],
+                             ids=["negative", "float"])
+    def test_bad_model_seed_named(self, seed, named):
+        with pytest.raises(ConfigError, match=f"^{named}$"):
+            PopulationTransformer(TOY, seed=seed)
+
     def test_json_round_trip(self):
         cfg = ModelConfig(d_hat=32, width=32, heads=4)
         assert ModelConfig.from_json(cfg.to_json()) == cfg
@@ -608,6 +631,16 @@ class TestCheckpoint:
         assert value in text
         path.write_bytes(self.with_config(path.read_bytes(), text))
         with pytest.raises(CheckpointError, match=f"model.petm: bad model config: {field}"):
+            load_checkpoint(path)
+
+    def test_zero_heads_with_a_valid_checksum_names_path(self, tmp_path):
+        path = tmp_path / "model.petm"
+        save_checkpoint(PopulationTransformer(TOY, seed=6), path)
+        text = TOY.to_json().replace('"heads":2', '"heads":0')
+        blob = self.with_config(path.read_bytes(), text)[:-4]
+        path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+        with pytest.raises(CheckpointError,
+                           match="model.petm: bad model config: heads must be >= 1, got 0"):
             load_checkpoint(path)
 
     @settings(max_examples=50, deadline=None,

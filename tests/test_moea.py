@@ -24,7 +24,7 @@ from popformer import (
 )
 from popformer import moea
 from popformer.core import Problem
-from popformer.errors import ContractViolation
+from popformer.errors import ConfigError, ContractViolation
 from popformer.moea import (
     _dominance_matrix,
     _merit_order,
@@ -734,3 +734,16 @@ class TestRunLoops:
         prob = make_problem("zdt1", d=8)
         with pytest.raises(ContractViolation):
             run_nsga2(prob, 10, 5, seed=0)
+
+    @pytest.mark.parametrize("runner", [run_nsga2, run_cso, run_random_search])
+    @pytest.mark.parametrize("seed,named", [(-1, "seed must be >= 0, got -1"),
+                                            (1.5, "seed must be an int, got 1.5")],
+                             ids=["negative", "float"])
+    def test_bad_seed_rejected_before_any_evaluation(self, monkeypatch, runner, seed, named):
+        prob = make_problem("zdt1", d=8)
+        calls = []
+        original = prob.evaluate_batch
+        monkeypatch.setattr(prob, "evaluate_batch", lambda x: calls.append(1) or original(x))
+        with pytest.raises(ConfigError, match=f"^{named}$"):
+            runner(prob, 10, 30, seed=seed)
+        assert calls == []

@@ -196,6 +196,21 @@ class TestDataset:
         with pytest.raises(DataError, match=f"{path.name}: line 3: "):
             TrajectoryDataset.load(path)
 
+    @pytest.mark.parametrize("field,value,named", [
+        ("d", 8.5, "d must be an int, got 8.5"), ("generation", True, "generation must be an int"),
+        ("m", 1, "m must be >= 2, got 1"), ("seed", -1, "seed must be >= 0, got -1"),
+    ], ids=["float-d", "bool-generation", "m-1", "negative-seed"])
+    def test_bad_integer_field_names_file_and_line(self, tmp_path, field, value, named):
+        # a float or a bool in an integer field is an error, never truncated
+        _, pairs = shift_pairs(3)
+        path = tmp_path / "d.jsonl"
+        TrajectoryDataset(pairs=pairs).save(path)
+        lines = path.read_text().splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), field: value})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"d.jsonl: line 3: .*{named}"):
+            TrajectoryDataset.load(path)
+
     def test_not_a_dataset_rejected(self, tmp_path):
         path = tmp_path / "x.jsonl"
         path.write_text('{"format":"something-else"}\n')
@@ -271,6 +286,26 @@ class TestTrainingConfigs:
     def test_bad_finetune_config_rejected(self, kwargs):
         with pytest.raises(ConfigError, match=next(iter(kwargs))):
             FinetuneConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"lr": True}, {"weight_decay": True}, {"seed": -1}, {"seed": 1.5},
+        {"seed": np.float64(2.0)},
+    ])
+    def test_bools_and_bad_seeds_rejected(self, kwargs):
+        with pytest.raises(ConfigError, match=f"^{next(iter(kwargs))} must be"):
+            PretrainConfig(**kwargs)
+        if "lr" in kwargs:
+            with pytest.raises(ConfigError, match="^lr must be"):
+                FinetuneConfig(**kwargs)
+
+    def test_numpy_numbers_accepted(self):
+        pre = PretrainConfig(steps=np.int64(5), batch_size=np.int32(4), lr=np.float32(1e-3),
+                             weight_decay=np.float32(0.0), seed=np.int64(3),
+                             eval_every=np.uint16(2))
+        assert pre == PretrainConfig(steps=5, batch_size=4, lr=np.float32(1e-3),
+                                     weight_decay=0.0, seed=3, eval_every=2)
+        fine = FinetuneConfig(steps_per_generation=np.int64(0), lr=np.float32(1e-4))
+        assert fine.steps_per_generation == 0
 
     def test_zero_weight_decay_and_zero_steps_accepted(self):
         assert PretrainConfig(weight_decay=0.0).weight_decay == 0.0

@@ -136,6 +136,23 @@ class TestZdtFronts:
         with pytest.raises(ConfigError):
             make_problem("zdt5")
 
+    @pytest.mark.parametrize("problem", [ZdtProblem(1, 8), LsmopProblem(1, d=60, m=3)],
+                             ids=["zdt1", "lsmop1"])
+    @pytest.mark.parametrize("n,named", [(0, "must be >= 1, got 0"),
+                                         (2.5, "must be an int, got 2.5")],
+                             ids=["zero", "float"])
+    def test_bad_front_size_named(self, problem, n, named):
+        with pytest.raises(ConfigError, match=f"^reference front size {named}$"):
+            problem.reference_front(n)
+        assert len(problem.reference_front(np.int64(5))) >= 1
+
+    @pytest.mark.parametrize("d,named", [(1, "must be >= 2, got 1"),
+                                         (8.0, "must be an int, got 8.0")],
+                             ids=["d-1", "float-d"])
+    def test_bad_zdt_dimension_named(self, d, named):
+        with pytest.raises(ConfigError, match=f"^zdt2 d {named}$"):
+            make_problem("zdt2", d=d)
+
 
 # ---------------------------------------------------------------------------
 # LSMOP
@@ -234,6 +251,14 @@ class TestLsmop:
         with pytest.raises(ConfigError):
             LsmopProblem(1, d=12, m=2)
 
+    @pytest.mark.parametrize("d,m,named", [(60.5, 3, "lsmop1 d must be an int, got 60.5"),
+                                           (60, 2.5, "lsmop1 m must be an int, got 2.5"),
+                                           (True, 3, "lsmop1 d must be an int, got True")],
+                             ids=["float-d", "float-m", "bool-d"])
+    def test_non_int_sizes_named(self, d, m, named):
+        with pytest.raises(ConfigError, match=f"^{named}$"):
+            LsmopProblem(1, d=d, m=m)
+
     @pytest.mark.parametrize("variant", [1, 5, 9])
     def test_front_nondominated_against_random_sampling(self, variant):
         prob = LsmopProblem(variant, d=40, m=2)
@@ -309,6 +334,15 @@ class TestShiftFamily:
         f = prob.objectives(x)
         assert f.shape == (3,)
         assert np.array_equal(f, prob.objectives(x))
+
+    @pytest.mark.parametrize("d,m,named", [(-1, 2, "shift d must be >= 1, got -1"),
+                                           (2.0, 2, "shift d must be an int, got 2.0"),
+                                           (4, 1, "m must be >= 2, got 1")],
+                             ids=["negative-d", "float-d", "m-1"])
+    def test_bad_sizes_named(self, d, m, named):
+        # d is checked before it sizes any array
+        with pytest.raises(ConfigError, match=f"^{named}$"):
+            make_problem("shift", d=d, m=m)
 
     def test_registry_names(self):
         assert make_problem("zdt2").spec.name == "zdt2"
