@@ -20,7 +20,7 @@ from .errors import ConfigError, IgdUndefined
 from .metrics import igd, wilcoxon_rank_sum
 from .model import ModelConfig, PopulationTransformer, load_checkpoint
 from .moea import check_run_sizes, run_cso, run_nsga2, run_random_search
-from .pipeline import FinetuneConfig, run_nsga2_model
+from .pipeline import FinetuneConfig, _require_rate, run_nsga2_model
 from .problems import make_problem
 
 
@@ -98,8 +98,9 @@ class ExperimentConfig:
             require_count(self.reference_front_size, "reference_front_size")
         if not (self.problems and self.arms):
             raise ConfigError("a grid needs at least one problem and one arm")
-        if not (isinstance(self.alpha, (int, float)) and 0.0 < self.alpha < 1.0):
-            raise ConfigError(f"alpha must be in (0, 1), got {self.alpha!r}")
+        _require_rate(self, "alpha")
+        if self.alpha >= 1:
+            raise ConfigError(f"alpha must be < 1, got {self.alpha!r}")
         labels = [a.label for a in self.arms]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"duplicate arm labels: {labels}")
@@ -315,7 +316,7 @@ def emit_report(records: list[RunRecord], summary: dict, out_dir) -> dict[str, P
 
     json_path = out / "summary.json"
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=True, default=np.generic.item)
     paths["json"] = json_path
 
     txt_path = out / "table.txt"

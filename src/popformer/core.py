@@ -318,7 +318,8 @@ def evaluate(pop: Population, problem: Problem, budget: EvaluationBudget) -> Pop
 
 def random_population(problem: Problem, n: int, rng: np.random.Generator,
                       generation_index: int = 0) -> Population:
-    """Uniform random unevaluated population within the problem bounds."""
+    """Uniform random unevaluated population within the problem bounds:
+    ``rng.uniform(lower, upper, (n, d))`` bit for bit, minus its broadcasting."""
     spec = problem.spec
-    xs = rng.uniform(spec.lower, spec.upper, size=(n, spec.d))
+    xs = spec.lower + (spec.upper - spec.lower) * rng.random((n, spec.d))
     return Population(xs, generation_index=generation_index)

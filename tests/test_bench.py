@@ -189,8 +189,12 @@ class TestRunBenchmark:
         ({"problems": [{"name": "zdt1", "d": 8, "m": 1}]}, "m must be >= 2, got 1"),
         ({"arms": [{"kind": "nsga2"}, {"kind": "learned", "lr": True}]},
          "lr must be a finite number > 0, got True"),
+        ({"alpha": True}, "alpha must be a finite number > 0, got True"),
+        ({"alpha": math.nan}, "alpha must be a finite number > 0, got nan"),
+        ({"alpha": 0}, "alpha must be a finite number > 0, got 0"),
+        ({"alpha": 1}, "alpha must be < 1, got 1"),
     ], ids=["front-0", "front-minus-5", "n_seeds-0", "float-master-seed", "d-0", "m-1",
-            "bool-lr"])
+            "bool-lr", "bool-alpha", "nan-alpha", "alpha-0", "alpha-1"])
     def test_integer_and_rate_rules_name_the_file(self, tmp_path, change, named):
         path = tmp_path / "grid.json"
         with pytest.raises(ConfigError) as exc:
@@ -213,6 +217,20 @@ class TestRunBenchmark:
                                                         steps_per_generation=2),))
         assert cfg.to_json() == plain.to_json()
         assert ExperimentConfig.from_json(cfg.to_json()) == plain
+
+    def test_numpy_numbers_write_the_same_reports(self, tmp_path):
+        # 0.25 is exact in float32, so both configs hold the same alpha
+        cfg = replace(TINY, problems=(ProblemCase("zdt1", d=np.int64(8)),),
+                      alpha=np.float32(0.25))
+        plain = replace(TINY, alpha=0.25)
+        assert cfg.to_json() == plain.to_json()
+        written = []
+        for c, out in ((cfg, tmp_path / "numpy"), (plain, tmp_path / "plain")):
+            records = run_benchmark(c)
+            paths = emit_report(records, summarize(records, c), out)
+            written.append([paths[k].read_text() for k in ("json", "txt")])
+        assert written[0] == written[1]
+        assert json.loads(written[0][0])["alpha"] == 0.25
 
     def test_good_config_accepted(self):
         cfg = ExperimentConfig.from_json(json.dumps(self.GOOD), source="grid.json")

@@ -1,4 +1,5 @@
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from popformer import (
 )
 from popformer.core import Problem, ProblemSpec, aggregate_violation, require_count
 from popformer.errors import ConfigError, ContractViolation, EvaluationError
+from variation_oracle import BOUND_KINDS, bounds
 
 
 def sol(f):
@@ -114,6 +116,18 @@ class TestNormalization:
             x = rng.uniform(self.SPEC.lower, self.SPEC.upper)
             back = denormalize_decision(normalize_decision(x, self.SPEC), self.SPEC)
             assert np.max(np.abs(back - x)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(0, 20), d=st.integers(1, 40), kind=st.sampled_from(BOUND_KINDS),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_population_is_rng_uniform_bit_for_bit(self, n, d, kind, seed):
+        lower, upper = bounds(kind, d)
+        problem = SimpleNamespace(spec=ProblemSpec("box", d, 2, lower, upper))
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_population(problem, n, ours).x
+        want = theirs.uniform(lower, upper, (n, d))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_zero_width_bound_rejected_at_construction(self):
         with pytest.raises(ContractViolation):

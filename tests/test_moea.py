@@ -33,6 +33,8 @@ from popformer.moea import (
     sbx_pm_offspring,
 )
 from popformer.selftest import brute_force_ranks
+import variation_oracle
+from variation_oracle import BOUND_KINDS, bounds
 
 
 def make_pop(objs, cvs=None):
@@ -549,11 +551,14 @@ class TestVariation:
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
     @settings(max_examples=50, deadline=None)
-    @given(n=st.integers(2, 15), d=st.integers(2, 8), name=st.sampled_from(["zdt1", "zdt4"]),
-           seed=st.integers(0, 2**32 - 1))
-    def test_offspring_match_per_pair_reference(self, n, d, name, seed):
-        # zdt4 bounds are [0, 1] for x0 and [-5, 5] elsewhere
-        prob = make_problem(name, d=d)
+    @given(n=st.integers(2, 15), seed=st.integers(0, 2**32 - 1), prob=st.one_of(
+        # zdt4's bounds are [0, 1] for x0 and [-5, 5] elsewhere
+        st.builds(lambda name, d: make_problem(name, d=d),
+                  st.sampled_from(["zdt1", "zdt4"]), st.integers(2, 8)),
+        # lsmop1's are [0, 1] for x0 and x1 and [0, 10] elsewhere; m=3 takes d >= 27
+        st.builds(lambda d: make_problem("lsmop1", d=d, m=3), st.integers(27, 32))))
+    def test_offspring_match_per_pair_reference(self, n, seed, prob):
+        d = prob.spec.d
         rng = np.random.default_rng(seed)
         parents = evaluated(prob, rng.uniform(prob.spec.lower, prob.spec.upper, (n, d)))
         ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
@@ -563,6 +568,69 @@ class TestVariation:
         # numpy's array power and Python's scalar pow may differ in the last bit
         assert np.all(np.abs(got - want) <= 1e-12 * span)
         assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class TestFlatIndexOperators:
+    """The flat-index SBX and mutation against the boolean-mask oracle in
+    ``tests/variation_oracle.py``: the same arithmetic, so the same bytes."""
+
+    # "all" sets every crossing or mutation draw below its threshold, "none"
+    # every one above it, and "random" keeps the uniform draws
+    MODES = ("random", "none", "all")
+
+    @staticmethod
+    def blocks(k, d, kind, seed, width):
+        """Two parent blocks within ``kind``'s bounds, some variables on a
+        bound, and (k, width) draws as a column view of a wider block, as
+        ``sbx_pm_offspring`` passes them."""
+        lower, upper = bounds(kind, d)
+        rng = np.random.default_rng(seed)
+        a, b = rng.uniform(lower, upper, (2, k, d))
+        a[:, 1::7], b[:, 3::7] = lower[1::7], upper[3::7]
+        return a, b, rng.random((k, width + d))[:, :width], lower, upper
+
+    @settings(max_examples=80, deadline=None)
+    @given(k=st.integers(1, 12), d=st.integers(3, 40), kind=st.sampled_from(BOUND_KINDS),
+           mode=st.sampled_from(MODES), seed=st.integers(0, 2**32 - 1))
+    def test_sbx_bytes_equal_the_oracle(self, k, d, kind, mode, seed):
+        a, b, draws, lower, upper = self.blocks(k, d, kind, seed, 1 + 3 * d)
+        if mode == "random":
+            b[:, ::5] = a[:, ::5]  # equal parent variables never cross
+        else:
+            draws[:, 1:1 + d] = 0.0 if mode == "all" else 1.0
+        got = sbx_crossover(a, b, draws, lower, upper)
+        want = variation_oracle.sbx_crossover(a, b, draws, lower, upper)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        if mode != "random":  # every variable crossed, or none did
+            changed = (got[0] != a) | (got[1] != b)
+            assert changed.all() if mode == "all" else not changed.any()
+
+    @settings(max_examples=80, deadline=None)
+    @given(k=st.integers(1, 12), d=st.integers(3, 40), kind=st.sampled_from(BOUND_KINDS),
+           mode=st.sampled_from(MODES), seed=st.integers(0, 2**32 - 1))
+    def test_mutation_bytes_equal_the_oracle(self, k, d, kind, mode, seed):
+        x, _, draws, lower, upper = self.blocks(k, d, kind, seed, 2 * d)
+        if mode != "random":
+            draws[:, :d] = 0.0 if mode == "all" else 1.0
+        got = polynomial_mutation(x, draws, lower, upper)
+        want = variation_oracle.polynomial_mutation(x, draws, lower, upper)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if mode == "none":
+            assert got.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("run", [run_nsga2, run_cso])
+    @pytest.mark.parametrize("name,kwargs", [("zdt1", {"d": 30}), ("lsmop1", {"d": 300, "m": 3})],
+                             ids=["zdt1", "lsmop1"])
+    def test_whole_runs_equal_runs_through_the_oracle(self, monkeypatch, run, name, kwargs):
+        problem = make_problem(name, **kwargs)
+        got = run(problem, 100, 400, seed=11)
+        for op in ("sbx_crossover", "polynomial_mutation", "random_population"):
+            monkeypatch.setattr(moea, op, getattr(variation_oracle, op))
+        want = run(problem, 100, 400, seed=11)
+        assert got.log == want.log
+        assert got.population.x.tobytes() == want.population.x.tobytes()
+        assert got.population.f.tobytes() == want.population.f.tobytes()
 
 
 class TestCso:
